@@ -8,17 +8,17 @@
 //! file return fresh allocation sites labelled with the callee name.
 
 use crate::ir::{Func, FuncId, Instr, Module, TermUse, Var};
-use namer_syntax::{vocab, Ast, Lang, NodeId, ReceiverStyle, Sym};
+use namer_syntax::{sym, vocab, Ast, Lang, NodeId, ReceiverStyle, Sym};
 use std::collections::HashMap;
 
 /// Field name used for container-element loads/stores.
 pub fn elem_field() -> Sym {
-    Sym::intern("$elem")
+    sym!("$elem")
 }
 
 /// The ⊤ origin label (never reported).
 pub fn top_label() -> Sym {
-    Sym::intern("$top")
+    sym!("$top")
 }
 
 struct ClassInfo {
@@ -195,7 +195,7 @@ impl<'a> Builder<'a> {
 
     fn lower_all(&mut self) {
         // Module body first, so functions can see final global versions.
-        let module_fid = self.reserve_func(Sym::intern("<module>"));
+        let module_fid = self.reserve_func(sym!("<module>"));
         let mut cx = self.new_cx();
         for c in self.ast.children(self.ast.root()).to_vec() {
             let v = self.ast.value(c);
@@ -264,8 +264,8 @@ impl<'a> Builder<'a> {
                 let this = self.module.fresh_var();
                 let label = self.origin_class(cls);
                 cx.param_inits.push(Instr::AllocShared { dst: this, label });
-                cx.env.insert(Sym::intern("this"), this);
-                cx.env.insert(Sym::intern("super"), this);
+                cx.env.insert(sym!("this"), this);
+                cx.env.insert(sym!("super"), this);
                 cx.self_var = Some(this);
             }
         }
@@ -371,13 +371,13 @@ impl<'a> Builder<'a> {
             let module_label = kids
                 .first()
                 .and_then(|&m| self.rightmost_name(m))
-                .unwrap_or_else(|| Sym::intern("module"));
+                .unwrap_or_else(|| sym!("module"));
             for &c in kids.iter().skip(1) {
                 self.lower_from_import_name(cx, c, module_label);
             }
         } else if v == vocab::if_stmt() {
             self.lower_branch(cx, &kids);
-        } else if v == vocab::while_stmt() || v == Sym::intern("DoWhile") {
+        } else if v == vocab::while_stmt() || v == sym!("DoWhile") {
             self.lower_loop_generic(cx, &kids);
         } else if v == vocab::for_stmt() {
             self.lower_for(cx, &kids);
@@ -403,9 +403,9 @@ impl<'a> Builder<'a> {
             if let Some(name) = self.declared_name(id) {
                 let var = self.module.fresh_var();
                 let label = if v == vocab::class_def() {
-                    Sym::intern("type")
+                    sym!("type")
                 } else {
-                    Sym::intern("function")
+                    sym!("function")
                 };
                 cx.instrs.push(Instr::Alloc { dst: var, label });
                 cx.env.insert(name, var);
@@ -433,15 +433,15 @@ impl<'a> Builder<'a> {
     fn lower_stmt_list(&mut self, cx: &mut FnCx, id: NodeId) {
         let v = self.ast.value(id);
         let wrappers = [
-            Sym::intern("Body"),
-            Sym::intern("OrElse"),
-            Sym::intern("Finally"),
-            Sym::intern("Init"),
-            Sym::intern("Cond"),
-            Sym::intern("Update"),
-            Sym::intern("Case"),
-            Sym::intern("Block"),
-            Sym::intern("Initializer"),
+            sym!("Body"),
+            sym!("OrElse"),
+            sym!("Finally"),
+            sym!("Init"),
+            sym!("Cond"),
+            sym!("Update"),
+            sym!("Case"),
+            sym!("Block"),
+            sym!("Initializer"),
         ];
         if wrappers.contains(&v) {
             for c in self.ast.children(id).to_vec() {
@@ -488,8 +488,8 @@ impl<'a> Builder<'a> {
             || v == vocab::pass_stmt()
             || v == vocab::break_stmt()
             || v == vocab::continue_stmt()
-            || v == Sym::intern("DoWhile")
-            || v == Sym::intern("Block")
+            || v == sym!("DoWhile")
+            || v == sym!("Block")
             || self.is_def(v)
     }
 
@@ -532,7 +532,7 @@ impl<'a> Builder<'a> {
             let label = kids
                 .first()
                 .and_then(|&m| self.rightmost_name(m))
-                .unwrap_or_else(|| Sym::intern("module"));
+                .unwrap_or_else(|| sym!("module"));
             if let Some(&asname) = kids.get(1) {
                 self.bind_alloc(cx, asname, label);
             }
@@ -719,7 +719,7 @@ impl<'a> Builder<'a> {
                 if let Some(v) = pending.take() {
                     self.lower_target(cx, k, v);
                 }
-            } else if kv == Sym::intern("Body") {
+            } else if kv == sym!("Body") {
                 self.lower_stmt_list(cx, k);
             } else {
                 pending = Some(self.lower_expr(cx, k));
@@ -737,7 +737,7 @@ impl<'a> Builder<'a> {
                     exc_label = self.base_name(k);
                 }
             } else if kv == vocab::name_store() {
-                let label = exc_label.unwrap_or_else(|| Sym::intern("Exception"));
+                let label = exc_label.unwrap_or_else(|| sym!("Exception"));
                 self.bind_alloc(cx, k, label);
             } else {
                 self.lower_stmt_list(cx, k);
@@ -924,7 +924,7 @@ impl<'a> Builder<'a> {
             let dst = self.module.fresh_var();
             cx.instrs.push(Instr::Alloc {
                 dst,
-                label: Sym::intern("function"),
+                label: sym!("function"),
             });
             return dst;
         }
@@ -942,7 +942,7 @@ impl<'a> Builder<'a> {
             let dst = self.module.fresh_var();
             cx.instrs.push(Instr::Alloc {
                 dst,
-                label: Sym::intern("array"),
+                label: sym!("array"),
             });
             return dst;
         }
@@ -969,7 +969,7 @@ impl<'a> Builder<'a> {
             let v = self.module.fresh_var();
             cx.instrs.push(Instr::Alloc {
                 dst: v,
-                label: Sym::intern("type"),
+                label: sym!("type"),
             });
             v
         } else {
@@ -1004,7 +1004,7 @@ impl<'a> Builder<'a> {
                 .and_then(|&a| self.ast.children(a).first().copied())
             {
                 Some(t) => (Some(t), self.ast.value(t)),
-                None => (None, Sym::intern("call")),
+                None => (None, sym!("call")),
             };
             if let Some(t) = mname_term {
                 self.module.term_uses.push((t, TermUse::FunctionRecv(recv)));
@@ -1036,7 +1036,7 @@ impl<'a> Builder<'a> {
             let fname_term = self.ast.children(callee).first().copied();
             let fname = fname_term
                 .map(|t| self.ast.value(t))
-                .unwrap_or_else(|| Sym::intern("call"));
+                .unwrap_or_else(|| sym!("call"));
             if let Some(&(_, fid)) = self.free_funcs.get(&fname) {
                 let dst = self.module.fresh_var();
                 let site = self.fresh_site();
@@ -1053,7 +1053,7 @@ impl<'a> Builder<'a> {
                 let dst = self.module.fresh_var();
                 let label = self.origin_class(fname);
                 cx.instrs.push(Instr::Alloc { dst, label });
-                if let Some((_, init)) = self.resolve_method(fname, Sym::intern("__init__")) {
+                if let Some((_, init)) = self.resolve_method(fname, sym!("__init__")) {
                     let mut call_args = vec![dst];
                     call_args.extend(args);
                     let site = self.fresh_site();
@@ -1081,7 +1081,7 @@ impl<'a> Builder<'a> {
             .first()
             .and_then(|&t| self.ast.children(t).first().copied())
             .map(|t| self.ast.value(t))
-            .unwrap_or_else(|| Sym::intern("Object"));
+            .unwrap_or_else(|| sym!("Object"));
         let mut args = Vec::new();
         for &a in kids.iter().skip(1) {
             if !self.ast.is_terminal(a) {

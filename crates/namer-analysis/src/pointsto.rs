@@ -72,7 +72,7 @@ pub fn solve(module: &Module, config: &Config) -> Solution {
         ),
     };
     let clone_count = expanded.clone_count;
-    let labels = run_datalog(&expanded, module);
+    let labels = run_datalog(&expanded);
     Solution {
         labels,
         clone_count,
@@ -300,7 +300,7 @@ fn expand(module: &Module, k: usize, max_avg: usize) -> Option<Expanded> {
     })
 }
 
-fn run_datalog(expanded: &Expanded, module: &Module) -> HashMap<Var, Vec<Sym>> {
+fn run_datalog(expanded: &Expanded) -> HashMap<Var, Vec<Sym>> {
     let mut prog = Program::new();
     let alloc = prog.relation("Alloc", 2);
     let mv = prog.relation("Move", 2);
@@ -370,7 +370,6 @@ fn run_datalog(expanded: &Expanded, module: &Module) -> HashMap<Var, Vec<Sym>> {
             labels.entry(orig).or_default().push(label);
         }
     }
-    let _ = module;
     labels
 }
 

@@ -96,11 +96,11 @@ pub struct FileScanState {
     pub digest_counts: Vec<(u64, u64)>,
     /// Pre-feature violations in statement order.
     pub raw: Vec<RawHit>,
-    /// Span-digest key of each statement in source order (hex), linking
+    /// Span-digest key of each statement in source order, linking
     /// the file to its cached [`StmtRegion`]s so region pruning can
     /// mark-and-sweep. Empty for states produced without region tracking
     /// (full scans, file-granular incremental mode, v1 caches).
-    pub spans: Vec<String>,
+    pub spans: Vec<ContentDigest>,
 }
 
 /// Cached match outcomes of one statement region, keyed by the span digest
@@ -138,17 +138,47 @@ pub struct RegionOutcome {
 /// the statement's *source span* would not be: name paths depend on
 /// file-scoped analysis, so the same source text can extract different
 /// paths after an edit elsewhere in the file (DESIGN.md §14).
+///
+/// Each path is fed exactly as [`Fnv64::write_str`] would feed its
+/// `Display` rendering (length, then bytes), but piece by piece, without
+/// building the `String`.
 fn span_digest(paths: &PathSet) -> ContentDigest {
     let mut lo = Fnv64::new();
     let mut hi = Fnv64::with_seed(0x9e37_79b9_7f4a_7c15);
-    lo.write_u64(paths.paths.len() as u64);
-    hi.write_u64(paths.paths.len() as u64);
+    let mut feed = |bytes: &[u8]| {
+        lo.write(bytes);
+        hi.write(bytes);
+    };
+    feed(&(paths.paths.len() as u64).to_le_bytes());
+    let mut digits = [0u8; 10];
     for p in &paths.paths {
-        let s = p.to_string();
-        lo.write_str(&s);
-        hi.write_str(&s);
+        let end = p.end.map_or("ϵ", Sym::as_str);
+        let len = p.prefix.iter().fold(end.len(), |n, &(v, i)| {
+            n + v.as_str().len() + decimal(i, &mut digits).len() + 2
+        });
+        feed(&(len as u64).to_le_bytes());
+        for &(v, i) in &p.prefix {
+            feed(v.as_str().as_bytes());
+            feed(b" ");
+            feed(decimal(i, &mut digits));
+            feed(b" ");
+        }
+        feed(end.as_bytes());
     }
     ContentDigest((u128::from(hi.finish()) << 64) | u128::from(lo.finish()))
+}
+
+/// The decimal rendering of `n`, written into the tail of `buf`.
+fn decimal(mut n: u32, buf: &mut [u8; 10]) -> &[u8] {
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            return &buf[at..];
+        }
+    }
 }
 
 /// The persisted parts of a [`Detector`] — mined patterns, confusing
@@ -515,7 +545,7 @@ impl Detector {
     fn scan_files_regions_observed(
         &self,
         files: &[ProcessedFile],
-        regions: &BTreeMap<String, StmtRegion>,
+        regions: &BTreeMap<ContentDigest, StmtRegion>,
         threads: usize,
         obs: Observer<'_>,
     ) -> RegionChunkOut {
@@ -558,14 +588,13 @@ impl Detector {
     fn scan_chunk_regions(
         &self,
         files: &[ProcessedFile],
-        regions: &BTreeMap<String, StmtRegion>,
+        regions: &BTreeMap<ContentDigest, StmtRegion>,
         obs: Observer<'_>,
     ) -> RegionChunkOut {
         let start = obs.is_active().then(Instant::now);
         let mut scratch = MatchScratch::for_set(&self.patterns);
         let mut hits: Vec<(usize, Relation)> = Vec::new();
-        let mut local: HashMap<String, StmtRegion> = HashMap::new();
-        let mut fresh: Vec<(String, StmtRegion)> = Vec::new();
+        let mut fresh: HashMap<ContentDigest, StmtRegion> = HashMap::new();
         let mut tallies = (0u64, 0u64);
         let states = files
             .iter()
@@ -573,7 +602,6 @@ impl Detector {
                 self.scan_file_regions(
                     file,
                     regions,
-                    &mut local,
                     &mut fresh,
                     &mut scratch,
                     &mut hits,
@@ -584,7 +612,9 @@ impl Detector {
         if let Some(start) = start {
             obs.busy(Phase::Scan, start.elapsed().as_nanos() as u64);
         }
-        (states, fresh, tallies.0, tallies.1)
+        // Iteration order does not matter: regions are pure functions of
+        // their key, so the cache's first-insert-wins keeps the same bytes.
+        (states, fresh.into_iter().collect(), tallies.0, tallies.1)
     }
 
     /// Region-splicing variant of [`Detector::scan_file`]: per statement,
@@ -593,13 +623,13 @@ impl Detector {
     /// rendered text, and content digests are always re-taken from the
     /// *current* statement — only path-derived match outcomes are cached —
     /// so spliced output is byte-identical to a from-scratch scan.
-    #[allow(clippy::too_many_arguments)]
+    /// Regions matched here land in `fresh`, the worker's map of regions
+    /// not cached before the scan began.
     fn scan_file_regions(
         &self,
         file: &ProcessedFile,
-        regions: &BTreeMap<String, StmtRegion>,
-        local: &mut HashMap<String, StmtRegion>,
-        fresh: &mut Vec<(String, StmtRegion)>,
+        regions: &BTreeMap<ContentDigest, StmtRegion>,
+        fresh: &mut HashMap<ContentDigest, StmtRegion>,
         scratch: &mut MatchScratch,
         hits: &mut Vec<(usize, Relation)>,
         tallies: &mut (u64, u64),
@@ -607,10 +637,10 @@ impl Detector {
         let mut counts: HashMap<usize, LevelCounts> = HashMap::new();
         let mut digests: HashMap<u64, u64> = HashMap::new();
         let mut raw: Vec<RawHit> = Vec::new();
-        let mut spans: Vec<String> = Vec::new();
+        let mut spans: Vec<ContentDigest> = Vec::with_capacity(file.stmts.len());
         for stmt in &file.stmts {
             *digests.entry(stmt.digest).or_default() += 1;
-            let key = span_digest(&stmt.paths).to_hex();
+            let key = span_digest(&stmt.paths);
             // Hits count only regions cached before the scan began, so the
             // tallies do not depend on how statements split into chunks.
             let cached = regions.get(&key);
@@ -619,7 +649,7 @@ impl Detector {
             } else {
                 tallies.1 += 1;
             }
-            if cached.is_none() && !local.contains_key(&key) {
+            if cached.is_none() && !fresh.contains_key(&key) {
                 self.patterns.check_into(&stmt.paths, scratch, hits);
                 let mut outcomes = Vec::with_capacity(hits.len());
                 for (pattern_idx, rel) in hits.drain(..) {
@@ -636,12 +666,10 @@ impl Detector {
                         names,
                     });
                 }
-                let region = StmtRegion { outcomes };
-                fresh.push((key.clone(), region.clone()));
-                local.insert(key.clone(), region);
+                fresh.insert(key, StmtRegion { outcomes });
             }
             let region = cached
-                .or_else(|| local.get(&key))
+                .or_else(|| fresh.get(&key))
                 .expect("region computed or cached above");
             for o in &region.outcomes {
                 counts.entry(o.pattern_idx).or_default().record(o.satisfied);
@@ -1279,12 +1307,18 @@ struct ScanOpts<'a> {
 
 /// One region-scan worker's output:
 /// `(states, fresh_regions, stmt_hits, stmt_misses)`.
-type RegionChunkOut = (Vec<FileScanState>, Vec<(String, StmtRegion)>, u64, u64);
+type RegionChunkOut = (
+    Vec<FileScanState>,
+    Vec<(ContentDigest, StmtRegion)>,
+    u64,
+    u64,
+);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::process::{process, ProcessConfig};
+    use namer_syntax::namepath::NamePath;
 
     fn tiny_corpus() -> (Vec<SourceFile>, Vec<(String, String)>) {
         let mut files = Vec::new();
@@ -1307,6 +1341,50 @@ mod tests {
             "class T(TestCase):\n    def t(self):\n        self.assertEqual(v.count, 1)\n".to_owned(),
         )];
         (files, commits)
+    }
+
+    /// The digest `span_digest` must equal: `Fnv64::write_str` of every
+    /// path's `Display` rendering, behind the path count.
+    fn span_digest_of_rendered(paths: &PathSet) -> ContentDigest {
+        let mut lo = Fnv64::new();
+        let mut hi = Fnv64::with_seed(0x9e37_79b9_7f4a_7c15);
+        lo.write_u64(paths.paths.len() as u64);
+        hi.write_u64(paths.paths.len() as u64);
+        for p in &paths.paths {
+            let s = p.to_string();
+            lo.write_str(&s);
+            hi.write_str(&s);
+        }
+        ContentDigest((u128::from(hi.finish()) << 64) | u128::from(lo.finish()))
+    }
+
+    #[test]
+    fn span_digest_hashes_the_rendered_paths() {
+        let sym = Sym::intern;
+        let synthetic = PathSet::new(vec![
+            NamePath::concrete(vec![(sym("Call"), 0), (sym("NumST(2)"), 1)], sym("naïve")),
+            NamePath::concrete(vec![(sym("Attr"), 9), (sym("X"), 10)], sym("")),
+            NamePath::concrete(Vec::new(), sym("end")),
+            NamePath {
+                prefix: vec![(sym("Call"), u32::MAX)],
+                end: None,
+            },
+        ]);
+        let mut sets = vec![synthetic, PathSet::new(Vec::new())];
+        let (files, _) = tiny_corpus();
+        let corpus = process(&files, &ProcessConfig::default());
+        for file in &corpus.files {
+            sets.extend(file.stmts.iter().map(|s| s.paths.clone()));
+        }
+        assert!(sets.len() > 2, "the corpus yields statements");
+        for paths in &sets {
+            assert_eq!(
+                span_digest(paths),
+                span_digest_of_rendered(paths),
+                "{:?}",
+                paths.paths
+            );
+        }
     }
 
     fn small_mining() -> MiningConfig {

@@ -409,12 +409,11 @@ const OUTCOME_HAS_NAMES: u32 = 2;
 const ENTRY_PARSE_FAILURE: u32 = 0;
 const ENTRY_PARSED: u32 = 1;
 
-/// Persisted per-file scan state, keyed by content-digest hex strings.
+/// Persisted per-file scan state, keyed by content digest.
 ///
 /// A `BTreeMap` keeps serialization deterministic: the same corpus and
-/// detector always produce byte-identical cache files. (Fixed-width
-/// lowercase hex sorts identically to the numeric digests, so the binary
-/// entry records inherit the same order.)
+/// detector always produce byte-identical cache files, with entry and
+/// region records in ascending digest order.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ScanCache {
     /// Cache format version.
@@ -422,11 +421,11 @@ pub struct ScanCache {
     /// Fingerprint of the detector + preprocessing config this cache is
     /// valid for ([`Detector::fingerprint`](crate::detector::Detector::fingerprint)).
     fingerprint: u64,
-    /// Scan state per content digest (hex-encoded).
-    entries: BTreeMap<String, CacheEntry>,
-    /// Statement regions per span-digest key (hex-encoded), shared by all
-    /// files (DESIGN.md §14).
-    regions: BTreeMap<String, StmtRegion>,
+    /// Scan state per content digest.
+    entries: BTreeMap<ContentDigest, CacheEntry>,
+    /// Statement regions per span-digest key, shared by all files
+    /// (DESIGN.md §14).
+    regions: BTreeMap<ContentDigest, StmtRegion>,
 }
 
 impl ScanCache {
@@ -457,29 +456,29 @@ impl ScanCache {
 
     /// Whether `digest` has a cached entry.
     pub fn contains(&self, digest: ContentDigest) -> bool {
-        self.entries.contains_key(&digest.to_hex())
+        self.entries.contains_key(&digest)
     }
 
     /// The cached entry for `digest`, if any.
     pub fn get(&self, digest: ContentDigest) -> Option<&CacheEntry> {
-        self.entries.get(&digest.to_hex())
+        self.entries.get(&digest)
     }
 
     /// Inserts (or replaces) the entry for `digest`.
     pub fn insert(&mut self, digest: ContentDigest, entry: CacheEntry) {
-        self.entries.insert(digest.to_hex(), entry);
+        self.entries.insert(digest, entry);
     }
 
-    /// The cached statement regions, keyed by span-digest hex
+    /// The cached statement regions, keyed by span digest
     /// (DESIGN.md §14).
-    pub fn regions(&self) -> &BTreeMap<String, StmtRegion> {
+    pub fn regions(&self) -> &BTreeMap<ContentDigest, StmtRegion> {
         &self.regions
     }
 
     /// Records a statement region under its span-digest key. First insert
     /// wins: regions are pure functions of their key under this cache's
     /// fingerprint, so a duplicate is byte-identical by construction.
-    pub fn insert_region(&mut self, key: String, region: StmtRegion) {
+    pub fn insert_region(&mut self, key: ContentDigest, region: StmtRegion) {
         self.regions.entry(key).or_insert(region);
     }
 
@@ -488,21 +487,20 @@ impl ScanCache {
     /// regions are mark-and-swept through the surviving entries' span
     /// lists: a region referenced by no live file's statements is dropped.
     pub fn retain_digests(&mut self, live: &HashSet<ContentDigest>) {
-        self.entries
-            .retain(|k, _| ContentDigest::from_hex(k).is_some_and(|d| live.contains(&d)));
+        self.entries.retain(|k, _| live.contains(k));
         if self.regions.is_empty() {
             return;
         }
-        let live_spans: HashSet<&str> = self
+        let live_spans: HashSet<ContentDigest> = self
             .entries
             .values()
             .filter_map(|entry| match entry {
-                CacheEntry::Parsed(state) => Some(state.spans.iter().map(String::as_str)),
+                CacheEntry::Parsed(state) => Some(state.spans.iter().copied()),
                 CacheEntry::ParseFailure => None,
             })
             .flatten()
             .collect();
-        self.regions.retain(|k, _| live_spans.contains(k.as_str()));
+        self.regions.retain(|k, _| live_spans.contains(k));
     }
 
     fn accept(parsed: ScanCache, fingerprint: u64) -> (ScanCache, CacheLoadStatus) {
@@ -533,13 +531,7 @@ impl ScanCache {
         let mut rendered: Vec<u8> = Vec::new();
         let mut spans: Vec<u8> = Vec::new();
 
-        for (key, entry) in &self.entries {
-            // Keys not produced by `ContentDigest::to_hex` cannot be looked
-            // up (`get` renders digests the same way) and are dropped by
-            // `retain_digests`; skipping them here matches that semantics.
-            let Some(digest) = ContentDigest::from_hex(key) else {
-                continue;
-            };
+        for (digest, entry) in &self.entries {
             let (kind, state) = match entry {
                 CacheEntry::ParseFailure => (ENTRY_PARSE_FAILURE, None),
                 CacheEntry::Parsed(state) => (ENTRY_PARSED, Some(state)),
@@ -556,19 +548,12 @@ impl ScanCache {
                 (raw.len() / RAW_RECORD_BYTES) as u32,
                 state.map_or(0, |s| s.raw.len()) as u32,
             );
-            // Spans not rendered by `ContentDigest::to_hex` cannot key a
-            // region lookup, mirroring the entry-key rule above.
-            let span_digests: Vec<ContentDigest> = state.map_or_else(Vec::new, |s| {
-                s.spans
-                    .iter()
-                    .filter_map(|k| ContentDigest::from_hex(k))
-                    .collect()
-            });
+            let span_digests = state.map_or(&[][..], |s| &s.spans[..]);
             let (spans_off, spans_len) = (
                 (spans.len() / SPAN_RECORD_BYTES) as u32,
                 span_digests.len() as u32,
             );
-            for d in &span_digests {
+            for d in span_digests {
                 spans.extend_from_slice(&(d.0 as u64).to_le_bytes());
                 spans.extend_from_slice(&((d.0 >> 64) as u64).to_le_bytes());
             }
@@ -609,11 +594,7 @@ impl ScanCache {
 
         let mut regions = Vec::with_capacity(self.regions.len() * REGION_RECORD_BYTES);
         let mut outcomes: Vec<u8> = Vec::new();
-        for (key, region) in &self.regions {
-            // Same rule as entry keys: only hex-rendered digests round-trip.
-            let Some(digest) = ContentDigest::from_hex(key) else {
-                continue;
-            };
+        for (digest, region) in &self.regions {
             let out_off = (outcomes.len() / OUTCOME_RECORD_BYTES) as u32;
             for o in &region.outcomes {
                 let mut flags = 0u32;
@@ -822,7 +803,7 @@ impl ScanCache {
                         let hi = flat::read_u64(spans_bytes, at + 8)?;
                         state
                             .spans
-                            .push(ContentDigest((u128::from(hi) << 64) | u128::from(lo)).to_hex());
+                            .push(ContentDigest((u128::from(hi) << 64) | u128::from(lo)));
                     }
                     CacheEntry::Parsed(state)
                 }
@@ -830,14 +811,14 @@ impl ScanCache {
                     return Err(BinError::Malformed(format!("unknown entry kind {other}")))
                 }
             };
-            entries.insert(digest.to_hex(), entry);
+            entries.insert(digest, entry);
         }
 
         let mut regions = BTreeMap::new();
         for at in (0..region_bytes.len()).step_by(REGION_RECORD_BYTES) {
             let lo = flat::read_u64(region_bytes, at)?;
             let hi = flat::read_u64(region_bytes, at + 8)?;
-            let key = ContentDigest((u128::from(hi) << 64) | u128::from(lo)).to_hex();
+            let key = ContentDigest((u128::from(hi) << 64) | u128::from(lo));
             let (out_off, out_len) = range(
                 flat::read_u32(region_bytes, at + 16)?,
                 flat::read_u32(region_bytes, at + 20)?,
@@ -1097,8 +1078,8 @@ mod tests {
         let mut cache = ScanCache::empty(42);
         let d1 = namer_syntax::content_digest("x = 1\n", Lang::Python);
         let d2 = namer_syntax::content_digest("y = 2\n", Lang::Python);
-        let span_a = ContentDigest(0x1234_5678_9ABC_DEF0_u128).to_hex();
-        let span_b = ContentDigest(u128::MAX - 7).to_hex();
+        let span_a = ContentDigest(0x1234_5678_9ABC_DEF0_u128);
+        let span_b = ContentDigest(u128::MAX - 7);
         cache.insert(d1, CacheEntry::ParseFailure);
         cache.insert(
             d2,
@@ -1117,7 +1098,7 @@ mod tests {
                     original: Sym::intern("True"),
                     suggested: Sym::intern("Equal"),
                 }],
-                spans: vec![span_a.clone(), span_b.clone()],
+                spans: vec![span_a, span_b],
             }),
         );
         cache.insert_region(

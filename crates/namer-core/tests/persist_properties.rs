@@ -99,11 +99,9 @@ fn raw_hit(rng: &mut SmallRng) -> RawHit {
     }
 }
 
-/// Region keys as the scanner writes them: the lowercase-hex rendering of a
-/// 128-bit span digest (non-hex keys would be dropped by the binary
-/// encoder, exactly like non-hex cache entry keys).
-fn span_key(rng: &mut SmallRng) -> String {
-    ContentDigest(rng.gen()).to_hex()
+/// Region keys as the scanner writes them: 128-bit span digests.
+fn span_key(rng: &mut SmallRng) -> ContentDigest {
+    ContentDigest(rng.gen())
 }
 
 /// Sorted-`Vec` invariants hold by construction: the count tables come from

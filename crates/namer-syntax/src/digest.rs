@@ -102,26 +102,12 @@ impl Fnv64 {
 /// let c = content_digest("x = 2\n", Lang::Python);
 /// assert_eq!(a, b);
 /// assert_ne!(a, c);
-/// assert_eq!(Some(a), namer_syntax::digest::ContentDigest::from_hex(&a.to_hex()));
+/// assert_eq!(a.to_string().len(), 32); // lowercase hex
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ContentDigest(pub u128);
 
-impl ContentDigest {
-    /// Renders the digest as 32 lowercase hex digits (the cache key format).
-    pub fn to_hex(self) -> String {
-        format!("{:032x}", self.0)
-    }
-
-    /// Parses a digest from hex; `None` if `s` is not 32 hex digits.
-    pub fn from_hex(s: &str) -> Option<ContentDigest> {
-        if s.len() != 32 {
-            return None;
-        }
-        u128::from_str_radix(s, 16).ok().map(ContentDigest)
-    }
-}
-
+/// Renders the digest as 32 lowercase hex digits.
 impl fmt::Display for ContentDigest {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:032x}", self.0)
@@ -187,18 +173,10 @@ mod tests {
     }
 
     #[test]
-    fn hex_round_trips() {
-        let d = content_digest("anything", Lang::Java);
-        assert_eq!(ContentDigest::from_hex(&d.to_hex()), Some(d));
-        assert_eq!(ContentDigest::from_hex("zz"), None);
-        assert_eq!(ContentDigest::from_hex(""), None);
-    }
-
-    #[test]
     fn empty_text_digests() {
         let d = content_digest("", Lang::Python);
         assert_ne!(d, content_digest("", Lang::Java));
-        assert_eq!(d.to_hex().len(), 32);
+        assert_eq!(d.to_string().len(), 32);
     }
 
     /// The exact digest values are part of the on-disk cache format: they
@@ -208,7 +186,7 @@ mod tests {
     #[test]
     fn digest_bytes_are_pinned_across_refactors() {
         assert_eq!(
-            content_digest("x = 1\n", Lang::Python).to_hex(),
+            content_digest("x = 1\n", Lang::Python),
             {
                 let mut lo = Fnv64::new();
                 lo.write_u8(0);
@@ -216,11 +194,11 @@ mod tests {
                 let mut hi = Fnv64::with_seed(0x9e37_79b9_7f4a_7c15);
                 hi.write_u8(0);
                 hi.write("x = 1\n".as_bytes());
-                ContentDigest((u128::from(hi.finish()) << 64) | u128::from(lo.finish())).to_hex()
+                ContentDigest((u128::from(hi.finish()) << 64) | u128::from(lo.finish()))
             }
         );
         assert_eq!(
-            content_digest("int x;", Lang::Java).to_hex(),
+            content_digest("int x;", Lang::Java),
             {
                 let mut lo = Fnv64::new();
                 lo.write_u8(1);
@@ -228,7 +206,7 @@ mod tests {
                 let mut hi = Fnv64::with_seed(0x9e37_79b9_7f4a_7c15);
                 hi.write_u8(1);
                 hi.write("int x;".as_bytes());
-                ContentDigest((u128::from(hi.finish()) << 64) | u128::from(lo.finish())).to_hex()
+                ContentDigest((u128::from(hi.finish()) << 64) | u128::from(lo.finish()))
             }
         );
         // The third language gets the next tag and collides with neither.

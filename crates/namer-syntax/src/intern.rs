@@ -105,6 +105,32 @@ impl From<String> for Sym {
     }
 }
 
+/// Interns a string literal once per call site: the first evaluation
+/// interns it, every later one is a single atomic load of the cached
+/// [`Sym`].
+///
+/// The cache fills lazily, at first use, so interning order (and with it
+/// [`Sym`]'s `Ord`, which the miner's item order depends on) is exactly what
+/// calling [`Sym::intern`] at the same point would give. Fixed-vocabulary
+/// literals in the front end go through this macro, never through a
+/// pre-interned table.
+///
+/// # Examples
+///
+/// ```
+/// use namer_syntax::{sym, Sym};
+/// let body = sym!("Body");
+/// assert_eq!(body, Sym::intern("Body"));
+/// assert_eq!(body.as_str(), "Body");
+/// ```
+#[macro_export]
+macro_rules! sym {
+    ($text:literal) => {{
+        static CACHE: ::std::sync::OnceLock<$crate::Sym> = ::std::sync::OnceLock::new();
+        *CACHE.get_or_init(|| $crate::Sym::intern($text))
+    }};
+}
+
 /// An interned name-path prefix: the `S` of a name path `⟨S, n⟩`, reduced to
 /// a dense, `Copy` `u32` handle.
 ///

@@ -11,6 +11,7 @@
 use super::lexer::{lex, Spanned, Tok};
 use crate::ast::{Ast, NameRole, NodeId, TermKind};
 use crate::source::ParseError;
+use crate::sym;
 use crate::vocab;
 
 const KEYWORDS: &[&str] = &[
@@ -69,7 +70,7 @@ pub fn parse(src: &str) -> Result<Ast, ParseError> {
             let mut name = p.parse_dotted_name()?;
             if p.eat_op(".") {
                 p.expect_op("*")?;
-                let star = p.ast.terminal("*", TermKind::Other);
+                let star = p.ast.terminal(sym!("*"), TermKind::Other);
                 name = p.ast.non_terminal(vocab::attribute_load(), vec![name, star]);
             }
             p.expect_op(";")?;
@@ -407,8 +408,8 @@ impl Parser {
         if matches!(self.peek(), Tok::Op("{")) {
             // Instance/static initializer block.
             let body = self.parse_block()?;
-            let body_node = self.ast.non_terminal("Body", body);
-            return Ok(vec![self.ast.non_terminal("Initializer", vec![body_node])]);
+            let body_node = self.ast.non_terminal(sym!("Body"), body);
+            return Ok(vec![self.ast.non_terminal(sym!("Initializer"), vec![body_node])]);
         }
         // Skip method-level type parameters: `<T> T f(...)`.
         if matches!(self.peek(), Tok::Op("<")) {
@@ -575,7 +576,7 @@ impl Parser {
                     let e = self.parse_expr()?;
                     self.expect_op(")")?;
                     let body = self.parse_block()?;
-                    let b = self.ast.non_terminal("Body", body);
+                    let b = self.ast.non_terminal(sym!("Body"), body);
                     let node = self
                         .ast
                         .non_terminal(vocab::synchronized_stmt(), vec![e, b]);
@@ -708,11 +709,11 @@ impl Parser {
         let cond = self.parse_expr()?;
         self.expect_op(")")?;
         let then = self.parse_statement()?;
-        let body = self.ast.non_terminal("Body", then);
+        let body = self.ast.non_terminal(sym!("Body"), then);
         let mut kids = vec![cond, body];
         if self.eat_kw("else") {
             let els = self.parse_statement()?;
-            kids.push(self.ast.non_terminal("OrElse", els));
+            kids.push(self.ast.non_terminal(sym!("OrElse"), els));
         }
         let node = self.ast.non_terminal(vocab::if_stmt(), kids);
         self.ast.set_line(node, line);
@@ -726,7 +727,7 @@ impl Parser {
         let cond = self.parse_expr()?;
         self.expect_op(")")?;
         let body = self.parse_statement()?;
-        let b = self.ast.non_terminal("Body", body);
+        let b = self.ast.non_terminal(sym!("Body"), body);
         let node = self.ast.non_terminal(vocab::while_stmt(), vec![cond, b]);
         self.ast.set_line(node, line);
         Ok(node)
@@ -741,8 +742,8 @@ impl Parser {
         let cond = self.parse_expr()?;
         self.expect_op(")")?;
         self.expect_op(";")?;
-        let b = self.ast.non_terminal("Body", body);
-        let node = self.ast.non_terminal("DoWhile", vec![cond, b]);
+        let b = self.ast.non_terminal(sym!("Body"), body);
+        let node = self.ast.non_terminal(sym!("DoWhile"), vec![cond, b]);
         self.ast.set_line(node, line);
         Ok(node)
     }
@@ -775,26 +776,26 @@ impl Parser {
                 }
             }
         };
-        let init_node = self.ast.non_terminal("Init", init);
+        let init_node = self.ast.non_terminal(sym!("Init"), init);
         let cond = if matches!(self.peek(), Tok::Op(";")) {
-            self.ast.non_terminal("Cond", vec![])
+            self.ast.non_terminal(sym!("Cond"), vec![])
         } else {
             let c = self.parse_expr()?;
-            self.ast.non_terminal("Cond", vec![c])
+            self.ast.non_terminal(sym!("Cond"), vec![c])
         };
         self.expect_op(";")?;
         let update = if matches!(self.peek(), Tok::Op(")")) {
-            self.ast.non_terminal("Update", vec![])
+            self.ast.non_terminal(sym!("Update"), vec![])
         } else {
             let mut us = vec![self.parse_expr()?];
             while self.eat_op(",") {
                 us.push(self.parse_expr()?);
             }
-            self.ast.non_terminal("Update", us)
+            self.ast.non_terminal(sym!("Update"), us)
         };
         self.expect_op(")")?;
         let body = self.parse_statement()?;
-        let b = self.ast.non_terminal("Body", body);
+        let b = self.ast.non_terminal(sym!("Body"), body);
         let node = self
             .ast
             .non_terminal(vocab::for_classic(), vec![init_node, cond, update, b]);
@@ -813,7 +814,7 @@ impl Parser {
         let iter = self.parse_expr()?;
         self.expect_op(")")?;
         let body = self.parse_statement()?;
-        let b = self.ast.non_terminal("Body", body);
+        let b = self.ast.non_terminal(sym!("Body"), body);
         let node = self
             .ast
             .non_terminal(vocab::for_stmt(), vec![ty, target, iter, b]);
@@ -843,7 +844,7 @@ impl Parser {
             self.expect_op(")")?;
         }
         let body = self.parse_block()?;
-        kids.push(self.ast.non_terminal("Body", body));
+        kids.push(self.ast.non_terminal(sym!("Body"), body));
         while self.at_kw("catch") {
             self.bump();
             let hline = self.line();
@@ -858,14 +859,14 @@ impl Parser {
             hkids.push(self.name_node(vocab::name_store(), &name, NameRole::Object, nline));
             self.expect_op(")")?;
             let hbody = self.parse_block()?;
-            hkids.push(self.ast.non_terminal("Body", hbody));
+            hkids.push(self.ast.non_terminal(sym!("Body"), hbody));
             let h = self.ast.non_terminal(vocab::handler(), hkids);
             self.ast.set_line(h, hline);
             kids.push(h);
         }
         if self.eat_kw("finally") {
             let fbody = self.parse_block()?;
-            kids.push(self.ast.non_terminal("Finally", fbody));
+            kids.push(self.ast.non_terminal(sym!("Finally"), fbody));
         }
         let node = self.ast.non_terminal(vocab::try_stmt(), kids);
         self.ast.set_line(node, line);
@@ -901,7 +902,8 @@ impl Parser {
             }
             if self.at_kw("case") || self.at_kw("default") {
                 if has_case {
-                    kids.push(self.ast.non_terminal("Case", std::mem::take(&mut current_case)));
+                    let case = std::mem::take(&mut current_case);
+                    kids.push(self.ast.non_terminal(sym!("Case"), case));
                 }
                 has_case = true;
                 if self.eat_kw("case") {
@@ -915,7 +917,7 @@ impl Parser {
             }
         }
         if has_case {
-            kids.push(self.ast.non_terminal("Case", current_case));
+            kids.push(self.ast.non_terminal(sym!("Case"), current_case));
         }
         let node = self.ast.non_terminal(vocab::switch_stmt(), kids);
         self.ast.set_line(node, line);
@@ -1141,7 +1143,7 @@ impl Parser {
                     }
                 };
                 let attr = self.name_node(vocab::attr(), &name, NameRole::Function, nline);
-                node = self.ast.non_terminal("MethodRef", vec![node, attr]);
+                node = self.ast.non_terminal(sym!("MethodRef"), vec![node, attr]);
             } else {
                 break;
             }
@@ -1209,7 +1211,7 @@ impl Parser {
                 }
                 "null" => {
                     self.bump();
-                    let term = self.ast.terminal("null", TermKind::Null);
+                    let term = self.ast.terminal(sym!("null"), TermKind::Null);
                     self.ast.non_terminal(vocab::none_lit(), vec![term])
                 }
                 "this" | "super" => {
@@ -1296,7 +1298,7 @@ impl Parser {
                         let params = self.ast.non_terminal(vocab::params(), vec![param]);
                         let body = if matches!(self.peek(), Tok::Op("{")) {
                             let b = self.parse_block()?;
-                            self.ast.non_terminal("Body", b)
+                            self.ast.non_terminal(sym!("Body"), b)
                         } else {
                             self.parse_expr()?
                         };
@@ -1354,7 +1356,7 @@ impl Parser {
         let params_node = self.ast.non_terminal(vocab::params(), params);
         let body = if matches!(self.peek(), Tok::Op("{")) {
             let b = self.parse_block()?;
-            self.ast.non_terminal("Body", b)
+            self.ast.non_terminal(sym!("Body"), b)
         } else {
             self.parse_expr()?
         };

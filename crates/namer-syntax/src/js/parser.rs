@@ -15,6 +15,7 @@
 use super::lexer::{lex, Spanned, Tok};
 use crate::ast::{Ast, NameRole, NodeId, TermKind};
 use crate::source::ParseError;
+use crate::sym;
 use crate::vocab;
 
 /// Strictly reserved words: never valid as plain identifiers.
@@ -288,7 +289,7 @@ impl Parser {
                     let e = self.parse_expr()?;
                     self.expect_op(")")?;
                     let body = self.parse_statement()?;
-                    let b = self.ast.non_terminal("Body", body);
+                    let b = self.ast.non_terminal(sym!("Body"), body);
                     let node = self.ast.non_terminal(vocab::with_stmt(), vec![e, b]);
                     self.ast.set_line(node, line);
                     Ok(vec![node])
@@ -801,11 +802,11 @@ impl Parser {
         let cond = self.parse_expr()?;
         self.expect_op(")")?;
         let then = self.parse_statement()?;
-        let body = self.ast.non_terminal("Body", then);
+        let body = self.ast.non_terminal(sym!("Body"), then);
         let mut kids = vec![cond, body];
         if self.eat_kw("else") {
             let els = self.parse_statement()?;
-            kids.push(self.ast.non_terminal("OrElse", els));
+            kids.push(self.ast.non_terminal(sym!("OrElse"), els));
         }
         let node = self.ast.non_terminal(vocab::if_stmt(), kids);
         self.ast.set_line(node, line);
@@ -819,7 +820,7 @@ impl Parser {
         let cond = self.parse_expr()?;
         self.expect_op(")")?;
         let body = self.parse_statement()?;
-        let b = self.ast.non_terminal("Body", body);
+        let b = self.ast.non_terminal(sym!("Body"), body);
         let node = self.ast.non_terminal(vocab::while_stmt(), vec![cond, b]);
         self.ast.set_line(node, line);
         Ok(node)
@@ -834,8 +835,8 @@ impl Parser {
         let cond = self.parse_expr()?;
         self.expect_op(")")?;
         self.eat_semi();
-        let b = self.ast.non_terminal("Body", body);
-        let node = self.ast.non_terminal("DoWhile", vec![cond, b]);
+        let b = self.ast.non_terminal(sym!("Body"), body);
+        let node = self.ast.non_terminal(sym!("DoWhile"), vec![cond, b]);
         self.ast.set_line(node, line);
         Ok(node)
     }
@@ -886,26 +887,26 @@ impl Parser {
             self.expect_op(";")?;
             exprs
         };
-        let init_node = self.ast.non_terminal("Init", init);
+        let init_node = self.ast.non_terminal(sym!("Init"), init);
         let cond = if matches!(self.peek(), Tok::Op(";")) {
-            self.ast.non_terminal("Cond", vec![])
+            self.ast.non_terminal(sym!("Cond"), vec![])
         } else {
             let c = self.parse_expr()?;
-            self.ast.non_terminal("Cond", vec![c])
+            self.ast.non_terminal(sym!("Cond"), vec![c])
         };
         self.expect_op(";")?;
         let update = if matches!(self.peek(), Tok::Op(")")) {
-            self.ast.non_terminal("Update", vec![])
+            self.ast.non_terminal(sym!("Update"), vec![])
         } else {
             let mut us = vec![self.parse_expr()?];
             while self.eat_op(",") {
                 us.push(self.parse_expr()?);
             }
-            self.ast.non_terminal("Update", us)
+            self.ast.non_terminal(sym!("Update"), us)
         };
         self.expect_op(")")?;
         let body = self.parse_statement()?;
-        let b = self.ast.non_terminal("Body", body);
+        let b = self.ast.non_terminal(sym!("Body"), body);
         let node = self
             .ast
             .non_terminal(vocab::for_classic(), vec![init_node, cond, update, b]);
@@ -917,7 +918,7 @@ impl Parser {
         let iter = self.parse_expr()?;
         self.expect_op(")")?;
         let body = self.parse_statement()?;
-        let b = self.ast.non_terminal("Body", body);
+        let b = self.ast.non_terminal(sym!("Body"), body);
         let node = self.ast.non_terminal(vocab::for_stmt(), vec![target, iter, b]);
         self.ast.set_line(node, line);
         Ok(node)
@@ -927,7 +928,7 @@ impl Parser {
         let line = self.line();
         self.expect_kw("try")?;
         let body = self.parse_block()?;
-        let mut kids = vec![self.ast.non_terminal("Body", body)];
+        let mut kids = vec![self.ast.non_terminal(sym!("Body"), body)];
         if self.eat_kw("catch") {
             let hline = self.line();
             let mut hkids = Vec::new();
@@ -940,14 +941,14 @@ impl Parser {
                 self.expect_op(")")?;
             }
             let hbody = self.parse_block()?;
-            hkids.push(self.ast.non_terminal("Body", hbody));
+            hkids.push(self.ast.non_terminal(sym!("Body"), hbody));
             let h = self.ast.non_terminal(vocab::handler(), hkids);
             self.ast.set_line(h, hline);
             kids.push(h);
         }
         if self.eat_kw("finally") {
             let fbody = self.parse_block()?;
-            kids.push(self.ast.non_terminal("Finally", fbody));
+            kids.push(self.ast.non_terminal(sym!("Finally"), fbody));
         }
         let node = self.ast.non_terminal(vocab::try_stmt(), kids);
         self.ast.set_line(node, line);
@@ -972,7 +973,7 @@ impl Parser {
                 if has_case {
                     kids.push(
                         self.ast
-                            .non_terminal("Case", std::mem::take(&mut current_case)),
+                            .non_terminal(sym!("Case"), std::mem::take(&mut current_case)),
                     );
                 }
                 has_case = true;
@@ -987,7 +988,7 @@ impl Parser {
             }
         }
         if has_case {
-            kids.push(self.ast.non_terminal("Case", current_case));
+            kids.push(self.ast.non_terminal(sym!("Case"), current_case));
         }
         let node = self.ast.non_terminal(vocab::switch_stmt(), kids);
         self.ast.set_line(node, line);
@@ -1366,7 +1367,7 @@ impl Parser {
                         let _ = self.parse_type()?;
                     }
                     let body = self.parse_block()?;
-                    let b = self.ast.non_terminal("Body", body);
+                    let b = self.ast.non_terminal(sym!("Body"), body);
                     self.ast.non_terminal(vocab::lambda(), vec![params, b])
                 }
                 "async"
@@ -1501,7 +1502,7 @@ impl Parser {
     fn parse_arrow_body(&mut self) -> Result<NodeId, ParseError> {
         if matches!(self.peek(), Tok::Op("{")) {
             let b = self.parse_block()?;
-            Ok(self.ast.non_terminal("Body", b))
+            Ok(self.ast.non_terminal(sym!("Body"), b))
         } else {
             self.parse_assignment()
         }
@@ -1551,7 +1552,7 @@ impl Parser {
                         let _ = self.parse_type()?;
                     }
                     let body = self.parse_block()?;
-                    let b = self.ast.non_terminal("Body", body);
+                    let b = self.ast.non_terminal(sym!("Body"), body);
                     let lambda = self.ast.non_terminal(vocab::lambda(), vec![params, b]);
                     kids.push(self.str_node(&key, kline));
                     kids.push(lambda);

@@ -144,11 +144,10 @@ pub fn extract_with_nodes(plus: &Ast, limit: usize) -> Vec<(NamePath, NodeId)> {
     paths
 }
 
-fn is_subtoken_leaf(plus: &Ast, prefix: &[(Sym, u32)]) -> bool {
+fn is_subtoken_leaf(prefix: &[(Sym, u32)]) -> bool {
     // The leaf is a subtoken iff some enclosing wrapper on the path is a
     // NumST(k) node: either the direct parent, or the grandparent when an
     // origin node is interposed.
-    let _ = plus;
     let n = prefix.len();
     let is_num_st = |v: Sym| v.as_str().starts_with("NumST(");
     if n >= 1 && is_num_st(prefix[n - 1].0) {
@@ -168,7 +167,7 @@ fn walk(
         return;
     }
     if plus.is_terminal(id) {
-        if is_subtoken_leaf(plus, prefix) {
+        if is_subtoken_leaf(prefix) {
             out.push(NamePath::concrete(prefix.clone(), plus.value(id)));
         }
         return;
@@ -195,7 +194,7 @@ fn walk_nodes(
         return;
     }
     if plus.is_terminal(id) {
-        if is_subtoken_leaf(plus, prefix) {
+        if is_subtoken_leaf(prefix) {
             out.push((NamePath::concrete(prefix.clone(), plus.value(id)), id));
         }
         return;

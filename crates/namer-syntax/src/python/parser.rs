@@ -11,6 +11,7 @@
 use super::lexer::{lex, Spanned, Tok};
 use crate::ast::{Ast, NameRole, NodeId, TermKind};
 use crate::source::ParseError;
+use crate::sym;
 use crate::vocab;
 
 const KEYWORDS: &[&str] = &[
@@ -326,7 +327,7 @@ impl Parser {
                     } else if !matches!(self.peek(), Tok::Newline | Tok::Eof | Tok::Dedent) {
                         kids.push(self.parse_expr_or_tuple()?);
                     }
-                    let y = self.ast.non_terminal("Yield", kids);
+                    let y = self.ast.non_terminal(sym!("Yield"), kids);
                     self.ast.non_terminal(vocab::expr_stmt(), vec![y])
                 }
                 _ => self.parse_expr_statement()?,
@@ -362,7 +363,7 @@ impl Parser {
         // Relative imports: leading dots.
         while self.eat_op(".") {}
         let module = if self.at_kw("import") {
-            let term = self.ast.terminal(".", TermKind::Other);
+            let term = self.ast.terminal(sym!("."), TermKind::Other);
             self.ast.non_terminal(vocab::name_load(), vec![term])
         } else {
             self.parse_dotted_name()?
@@ -582,7 +583,7 @@ impl Parser {
         self.expect_kw("if")?;
         let cond = self.parse_expr()?;
         let body = self.parse_suite()?;
-        let body_node = self.ast.non_terminal("Body", body);
+        let body_node = self.ast.non_terminal(sym!("Body"), body);
         let mut kids = vec![cond, body_node];
         self.eat_newlines();
         if self.at_kw("elif") {
@@ -594,12 +595,12 @@ impl Parser {
                 line: self.line(),
             };
             let nested = self.parse_if()?;
-            let or_else = self.ast.non_terminal("OrElse", vec![nested]);
+            let or_else = self.ast.non_terminal(sym!("OrElse"), vec![nested]);
             kids.push(or_else);
         } else if self.at_kw("else") {
             self.bump();
             let else_body = self.parse_suite()?;
-            let or_else = self.ast.non_terminal("OrElse", else_body);
+            let or_else = self.ast.non_terminal(sym!("OrElse"), else_body);
             kids.push(or_else);
         }
         let node = self.ast.non_terminal(vocab::if_stmt(), kids);
@@ -612,13 +613,13 @@ impl Parser {
         self.expect_kw("while")?;
         let cond = self.parse_expr()?;
         let body = self.parse_suite()?;
-        let body_node = self.ast.non_terminal("Body", body);
+        let body_node = self.ast.non_terminal(sym!("Body"), body);
         let mut kids = vec![cond, body_node];
         self.eat_newlines();
         if self.at_kw("else") {
             self.bump();
             let else_body = self.parse_suite()?;
-            kids.push(self.ast.non_terminal("OrElse", else_body));
+            kids.push(self.ast.non_terminal(sym!("OrElse"), else_body));
         }
         let node = self.ast.non_terminal(vocab::while_stmt(), kids);
         self.ast.set_line(node, line);
@@ -633,13 +634,13 @@ impl Parser {
         self.expect_kw("in")?;
         let iter = self.parse_expr_or_tuple()?;
         let body = self.parse_suite()?;
-        let body_node = self.ast.non_terminal("Body", body);
+        let body_node = self.ast.non_terminal(sym!("Body"), body);
         let mut kids = vec![target, iter, body_node];
         self.eat_newlines();
         if self.at_kw("else") {
             self.bump();
             let else_body = self.parse_suite()?;
-            kids.push(self.ast.non_terminal("OrElse", else_body));
+            kids.push(self.ast.non_terminal(sym!("OrElse"), else_body));
         }
         let node = self.ast.non_terminal(vocab::for_stmt(), kids);
         self.ast.set_line(node, line);
@@ -662,7 +663,7 @@ impl Parser {
             }
         }
         let body = self.parse_suite()?;
-        kids.push(self.ast.non_terminal("Body", body));
+        kids.push(self.ast.non_terminal(sym!("Body"), body));
         let node = self.ast.non_terminal(vocab::with_stmt(), kids);
         self.ast.set_line(node, line);
         Ok(node)
@@ -672,7 +673,7 @@ impl Parser {
         let line = self.line();
         self.expect_kw("try")?;
         let body = self.parse_suite()?;
-        let mut kids = vec![self.ast.non_terminal("Body", body)];
+        let mut kids = vec![self.ast.non_terminal(sym!("Body"), body)];
         loop {
             self.eat_newlines();
             if self.at_kw("except") {
@@ -694,19 +695,19 @@ impl Parser {
                     }
                 }
                 let hbody = self.parse_suite()?;
-                hkids.push(self.ast.non_terminal("Body", hbody));
+                hkids.push(self.ast.non_terminal(sym!("Body"), hbody));
                 let h = self.ast.non_terminal(vocab::handler(), hkids);
                 self.ast.set_line(h, hline);
                 kids.push(h);
             } else if self.at_kw("finally") {
                 self.bump();
                 let fbody = self.parse_suite()?;
-                kids.push(self.ast.non_terminal("Finally", fbody));
+                kids.push(self.ast.non_terminal(sym!("Finally"), fbody));
                 break;
             } else if self.at_kw("else") {
                 self.bump();
                 let ebody = self.parse_suite()?;
-                kids.push(self.ast.non_terminal("OrElse", ebody));
+                kids.push(self.ast.non_terminal(sym!("OrElse"), ebody));
             } else {
                 break;
             }
@@ -1045,7 +1046,7 @@ impl Parser {
                 }
                 "None" => {
                     self.bump();
-                    let term = self.ast.terminal("None", TermKind::Null);
+                    let term = self.ast.terminal(sym!("None"), TermKind::Null);
                     self.ast.non_terminal(vocab::none_lit(), vec![term])
                 }
                 "lambda" => {
@@ -1079,7 +1080,7 @@ impl Parser {
                 "await" | "yield" => {
                     self.bump();
                     let inner = self.parse_expr()?;
-                    self.ast.non_terminal("Await", vec![inner])
+                    self.ast.non_terminal(sym!("Await"), vec![inner])
                 }
                 "not" => {
                     // `not` may appear here through parse_postfix from targets.
@@ -1209,7 +1210,7 @@ impl Parser {
             }
             Tok::Op("...") => {
                 self.bump();
-                let term = self.ast.terminal("...", TermKind::Other);
+                let term = self.ast.terminal(sym!("..."), TermKind::Other);
                 self.ast.non_terminal(vocab::name_load(), vec![term])
             }
             _ => return Err(self.unexpected("expected expression")),

@@ -10,6 +10,7 @@
 
 use crate::ast::{Ast, NodeId};
 use crate::intern::Sym;
+use crate::sym;
 use crate::vocab;
 use std::collections::HashSet;
 
@@ -75,7 +76,7 @@ fn header_stmt_values() -> HashSet<Sym> {
         vocab::handler(),
         vocab::switch_stmt(),
         vocab::synchronized_stmt(),
-        Sym::intern("DoWhile"),
+        sym!("DoWhile"),
     ]
     .into_iter()
     .collect()
@@ -83,12 +84,12 @@ fn header_stmt_values() -> HashSet<Sym> {
 
 fn body_values() -> HashSet<Sym> {
     [
-        Sym::intern("Body"),
-        Sym::intern("OrElse"),
-        Sym::intern("Finally"),
-        Sym::intern("Block"),
-        Sym::intern("Case"),
-        Sym::intern("Initializer"),
+        sym!("Body"),
+        sym!("OrElse"),
+        sym!("Finally"),
+        sym!("Block"),
+        sym!("Case"),
+        sym!("Initializer"),
     ]
     .into_iter()
     .collect()

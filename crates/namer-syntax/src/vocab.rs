@@ -4,17 +4,26 @@
 //! values so that the language-agnostic pattern miner sees a uniform tree
 //! shape. The names follow Figure 2 of the paper (`Call`, `AttributeLoad`,
 //! `NameLoad`, `Attr`, `Num`, `NumArgs(k)`, `NumST(k)`, `NUM`, …).
+//!
+//! Every function here returns a symbol cached at first use (see
+//! [`sym!`](crate::sym!)): one atomic load after the first call, with the
+//! same interning order as calling [`Sym::intern`] at that point.
 
 use crate::intern::Sym;
+use std::sync::OnceLock;
 
 macro_rules! vocab {
     ($($(#[$doc:meta])* $fn_name:ident => $text:literal;)*) => {
         $(
             $(#[$doc])*
             pub fn $fn_name() -> Sym {
-                Sym::intern($text)
+                crate::sym!($text)
             }
         )*
+
+        /// Every vocabulary function with the text it interns, in
+        /// declaration order.
+        pub const ENTRIES: &[(fn() -> Sym, &str)] = &[$(($fn_name, $text)),*];
     };
 }
 
@@ -171,14 +180,30 @@ vocab! {
     object_top => "Object";
 }
 
+/// Numbered node values with `k` below this bound are cached per `k`;
+/// larger `k` formats and interns on every call.
+pub const NUMBERED_CACHE: usize = 32;
+
 /// `NumArgs(k)` node value (AST+ step 2).
 pub fn num_args(k: usize) -> Sym {
-    Sym::intern(&format!("NumArgs({k})"))
+    static CACHE: [OnceLock<Sym>; NUMBERED_CACHE] = [const { OnceLock::new() }; NUMBERED_CACHE];
+    numbered(&CACHE, "NumArgs", k)
 }
 
 /// `NumST(k)` node value (AST+ step 3).
 pub fn num_st(k: usize) -> Sym {
-    Sym::intern(&format!("NumST({k})"))
+    static CACHE: [OnceLock<Sym>; NUMBERED_CACHE] = [const { OnceLock::new() }; NUMBERED_CACHE];
+    numbered(&CACHE, "NumST", k)
+}
+
+/// `name(k)`, through `cache[k]` when `k` is in range. Each slot fills at
+/// first use, so interning order is unchanged.
+fn numbered(cache: &[OnceLock<Sym>; NUMBERED_CACHE], name: &str, k: usize) -> Sym {
+    let intern = || Sym::intern(&format!("{name}({k})"));
+    match cache.get(k) {
+        Some(slot) => *slot.get_or_init(intern),
+        None => intern(),
+    }
 }
 
 #[cfg(test)]

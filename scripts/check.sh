@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full local gate: build, a no-external-crates gate, every test (incl. the bench_incremental and
+# Full local gate: build, a no-external-crates gate, a vocabulary-literal
+# gate, every test (incl. the bench_incremental and
 # bench_shard smoke tests), clippy with warnings denied, a quick run of the
 # sharding benchmark (its exit code enforces the byte-identical guarantee),
 # a CLI metrics smoke (train + scan with --metrics-out, validating the JSON
@@ -24,6 +25,26 @@ external = [p["name"] for p in json.load(sys.stdin)["packages"] if p["source"] i
 if external:
     sys.exit("check.sh: external crates in the workspace: " + ", ".join(sorted(external)))
 '
+# Vocabulary gate (DESIGN.md §7): fixed node values and labels go through
+# `sym!`/`vocab`, which cache their symbol at first use. A string literal
+# handed to `Sym::intern`, `terminal` or `non_terminal` outside the
+# interner and the vocabulary re-hashes it on every call — reject it.
+# Only non-test lines count: those before a file's first `#[cfg(test)]`,
+# comments excluded.
+if find crates/namer-syntax/src crates/namer-analysis/src crates/namer-patterns/src \
+        crates/namer-core/src -name '*.rs' ! -name intern.rs ! -name vocab.rs -print0 \
+    | xargs -0 awk '
+        FNR == 1 { in_test = 0 }
+        /#\[cfg\(test\)\]/ { in_test = 1 }
+        !in_test && !/^[[:space:]]*\/\// && /(Sym::intern|terminal)\([[:space:]]*"/ {
+            print FILENAME ":" FNR ": " $0
+            found = 1
+        }
+        END { exit !found }'; then
+    echo "check.sh: uncached vocabulary literal; use sym!(\"…\") or a vocab function" >&2
+    exit 1
+fi
+echo "vocab gate: ok (vocabulary literals cached at first use)"
 # Fast gates: the binary-container unit tests (DESIGN.md §12) and the
 # serve protocol unit tests (DESIGN.md §13) run first so a format or wire
 # regression fails in seconds, before the full workspace suite.
