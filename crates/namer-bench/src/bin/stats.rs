@@ -1,4 +1,5 @@
 //! §5.2 / §5.3 statistics: mined pattern counts, violation coverage,
+//! violation-level recall of the corpus's injected issues by category,
 //! classifier cross-validation metrics, per-file analysis speed, and the
 //! ablation knobs DESIGN.md calls out (classifier model comparison).
 
@@ -6,6 +7,7 @@ use namer_bench::{labeler, namer_config, pct, print_table, setup, Scale, Setup};
 use namer_core::{process, Namer, NamerBuilder};
 use namer_ml::{k_fold_validation, Matrix, ModelKind};
 use namer_syntax::Lang;
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 fn run_lang(lang: Lang, scale: Scale, seed: u64) {
@@ -86,6 +88,34 @@ fn run_lang(lang: Lang, scale: Scale, seed: u64) {
         ],
     ];
     print_table(&format!("§5.2/§5.3 statistics ({lang})"), &["metric", "value"], &rows);
+
+    // Violation-level recall of the injected issues: does any report
+    // candidate sit on the injected line, whatever the classifier decides.
+    let mut recall: BTreeMap<String, (usize, usize)> = BTreeMap::new();
+    for inj in &corpus.injections {
+        let hit = scan
+            .violations
+            .iter()
+            .any(|v| v.repo == inj.repo && v.path == inj.path && v.line == inj.line);
+        let (found, total) = recall.entry(inj.category.to_string()).or_default();
+        *total += 1;
+        *found += usize::from(hit);
+    }
+    let rows: Vec<Vec<String>> = recall
+        .into_iter()
+        .map(|(category, (found, total))| {
+            vec![
+                category,
+                format!("{found}/{total}"),
+                pct(found as f64 / total.max(1) as f64),
+            ]
+        })
+        .collect();
+    print_table(
+        &format!("Injected-issue recall by category ({lang}, violation level)"),
+        &["category", "found", "recall"],
+        &rows,
+    );
 
     // Model-choice ablation (DESIGN.md §5): CV metrics per candidate model.
     if !namer.training_set.is_empty() {

@@ -1,27 +1,19 @@
 //! Incremental re-scan benchmark behind the `bench_incremental` binary
 //! (`BENCH_incremental.json`): cold, warm, 1-line-dirty, and
-//! N-statements-dirty scan timings through the digest-keyed scan cache in
-//! statement-region mode (DESIGN.md §14), against the pre-region
-//! file-granular baseline (§8) and a from-scratch full scan.
-//!
-//! The pattern set is inflated with never-matching clone variants
-//! ([`crate::shard::inflate`]) so per-statement match cost dominates — the
-//! big-code regime where statement splicing pays: a one-statement edit
-//! re-matches one statement instead of every statement of the touched file.
+//! N-statements-dirty scan timings through the digest-keyed scan cache
+//! (DESIGN.md §8), against a from-scratch full scan of the same edit.
 //!
 //! Every phase's results are compared bit for bit against the matching full
-//! scan — the benchmark doubles as an end-to-end check of the DESIGN.md
-//! §8/§14 equivalence guarantees, and the binary exits non-zero when it
-//! fails.
+//! scan — the benchmark doubles as an end-to-end check of the DESIGN.md §8
+//! equivalence guarantee, and the binary exits non-zero when it fails.
 
-use crate::shard::inflate;
 use crate::{namer_config, setup, Scale, Setup};
 use namer_core::{
     process_parallel, process_parallel_observed, Detector, ProcessConfig, ScanCache, ScanRequest,
     ScanResult,
 };
-use namer_observe::{Counter, Phase, PipelineMetrics};
-use namer_patterns::{MiningConfig, ShardPlan};
+use namer_observe::{Phase, PipelineMetrics};
+use namer_patterns::MiningConfig;
 use namer_syntax::{Lang, SourceFile};
 
 /// Wall-clock and cache accounting of one scan phase.
@@ -33,11 +25,6 @@ pub struct PhaseTiming {
     pub reused: usize,
     /// Files processed and scanned fresh.
     pub fresh: usize,
-    /// Statements spliced from cached regions (0 in file-granular mode and
-    /// for the from-scratch baseline).
-    pub stmt_hits: u64,
-    /// Statements matched fresh against the pattern set.
-    pub stmt_misses: u64,
     /// Deduplicated violations found.
     pub violations: usize,
 }
@@ -46,8 +33,6 @@ namer_base::to_json_fields!(PhaseTiming {
     secs,
     reused,
     fresh,
-    stmt_hits,
-    stmt_misses,
     violations,
 });
 
@@ -62,35 +47,27 @@ pub struct IncrementalBench {
     pub stmts: usize,
     /// Worker threads used for every phase.
     pub threads: usize,
-    /// Patterns actually mined from the corpus.
-    pub base_patterns: usize,
-    /// Pattern-set size after inflation (what every phase scans against).
+    /// Patterns mined from the corpus (what every phase scans against).
     pub patterns: usize,
     /// Statements appended for the N-statements-dirty phase.
     pub dirty_stmt_count: usize,
-    /// Empty cache, every file fresh (region mode).
+    /// Empty cache, every file fresh.
     pub cold: PhaseTiming,
-    /// Fully warmed cache, unchanged corpus (region mode).
+    /// Fully warmed cache, unchanged corpus.
     pub warm: PhaseTiming,
-    /// Warmed cache, one statement appended to one file (region mode).
+    /// Warmed cache, one statement appended to one file.
     pub dirty_line: PhaseTiming,
     /// Warmed cache, `dirty_stmt_count` statements appended across several
-    /// files (region mode).
+    /// files.
     pub dirty_stmts: PhaseTiming,
-    /// Warmed *file-granular* cache, the same one-statement edit as
-    /// `dirty_line` — the pre-§14 baseline statement splicing is measured
-    /// against.
-    pub granular_line: PhaseTiming,
     /// From-scratch process + scan of the one-statement-edit corpus.
     pub full_rescan: PhaseTiming,
     /// `cold.secs / warm.secs`.
     pub warm_speedup: f64,
-    /// `full_rescan.secs / dirty_line.secs`.
+    /// `full_rescan.secs / dirty_line.secs` — the headline number: what
+    /// the file cache saves on a one-statement edit (gate: ≥ 5 at every
+    /// scale).
     pub dirty_speedup: f64,
-    /// `granular_line.secs / dirty_line.secs` — the headline number:
-    /// statement splicing vs whole-file re-matching for a one-statement
-    /// edit (acceptance: ≥ 5 at the default scale).
-    pub region_speedup: f64,
     /// Every phase matched its full-scan reference bit for bit.
     pub identical: bool,
 }
@@ -100,18 +77,15 @@ namer_base::to_json_fields!(IncrementalBench {
     files,
     stmts,
     threads,
-    base_patterns,
     patterns,
     dirty_stmt_count,
     cold,
     warm,
     dirty_line,
     dirty_stmts,
-    granular_line,
     full_rescan,
     warm_speedup,
     dirty_speedup,
-    region_speedup,
     identical,
 });
 
@@ -129,8 +103,8 @@ fn key(scan: &ScanResult) -> Vec<(String, Vec<u64>)> {
 }
 
 /// Appends one new statement to `file` — the single-statement edit of the
-/// dirty phases. The probe names are salted so the statement's name paths
-/// (and therefore its region key, DESIGN.md §14) are new to the cache.
+/// dirty phases. The probe names are salted so every edited file's content
+/// digest is new to the cache.
 fn dirty_stmt(file: &mut SourceFile, salt: usize) {
     let stmt = if file.lang == Lang::Python {
         format!("bench_probe_{salt} = probe_value_{salt}\n")
@@ -176,7 +150,6 @@ fn run_phase(
     config: &ProcessConfig,
     threads: usize,
     cache: &ScanCache,
-    regions: bool,
     reps: usize,
 ) -> (PhaseTiming, ScanResult, ScanCache) {
     let mut best: Option<PhaseTiming> = None;
@@ -184,13 +157,11 @@ fn run_phase(
     for _ in 0..reps.max(1) {
         let mut c = cache.clone();
         let metrics = PipelineMetrics::new();
-        let mut req = ScanRequest::incremental(files, config, &mut c)
-            .threads(threads)
-            .observer(metrics.observer());
-        if !regions {
-            req = req.file_granular();
-        }
-        let scan = det.scan(req);
+        let scan = det.scan(
+            ScanRequest::incremental(files, config, &mut c)
+                .threads(threads)
+                .observer(metrics.observer()),
+        );
         let snap = metrics.snapshot();
         let secs = snap.phase_secs(Phase::CacheLookup)
             + snap.phase_secs(Phase::Process)
@@ -201,8 +172,6 @@ fn run_phase(
             secs,
             reused: stats.reused,
             fresh: stats.fresh,
-            stmt_hits: snap.counter(Counter::StmtCacheHits),
-            stmt_misses: snap.counter(Counter::StmtCacheMisses),
             violations: scan.violations.len(),
         };
         if best.is_none_or(|b| timing.secs < b.secs) {
@@ -216,10 +185,15 @@ fn run_phase(
     (best.expect("at least one rep"), scan, cache)
 }
 
-/// Generates one corpus, mines and inflates a detector, and times the
-/// cold / warm / 1-line-dirty / N-statements-dirty region-mode phases
-/// against the file-granular and full-scan baselines.
-pub fn measure_incremental(lang: Lang, scale: Scale, seed: u64, threads: usize) -> IncrementalBench {
+/// Generates one corpus, mines a detector, and times the cold / warm /
+/// 1-line-dirty / N-statements-dirty phases against the full-scan
+/// baseline.
+pub fn measure_incremental(
+    lang: Lang,
+    scale: Scale,
+    seed: u64,
+    threads: usize,
+) -> IncrementalBench {
     let Setup {
         corpus, commits, ..
     } = setup(lang, scale, seed);
@@ -232,52 +206,24 @@ pub fn measure_incremental(lang: Lang, scale: Scale, seed: u64, threads: usize) 
         threads,
         ..config.mining.clone()
     };
-    let base = Detector::mine(&processed, &commits, lang, &mining);
-    let base_patterns = base.pattern_count();
-    // Small corpora mine small pattern sets; inflate so matching — the work
-    // splicing saves — dominates the fixed parse/process cost of a dirty
-    // file. Quick runs keep a lighter factor.
-    let inflation = match scale {
-        Scale::Small => 6,
-        _ => 12,
-    };
-    let det = inflate(&base, inflation);
-    let fingerprint = det.fingerprint(&process_config, &ShardPlan::unsharded());
+    let det = Detector::mine(&processed, &commits, lang, &mining);
+    let fingerprint = det.fingerprint(&process_config);
 
     // Baseline: a full scan of the pristine corpus.
     let (_, full_base) = time_full(&det, &corpus.files, &process_config, threads);
 
     // Cold (timed, single shot — it is the expensive phase) then warm.
     let empty = ScanCache::empty(fingerprint);
-    let (cold, cold_scan, region_cache) = run_phase(
-        &det,
-        &corpus.files,
-        &process_config,
-        threads,
-        &empty,
-        true,
-        1,
-    );
+    let (cold, cold_scan, warm_cache) =
+        run_phase(&det, &corpus.files, &process_config, threads, &empty, 1);
     let reps = 3;
     let (warm, warm_scan, _) = run_phase(
         &det,
         &corpus.files,
         &process_config,
         threads,
-        &region_cache,
-        true,
+        &warm_cache,
         reps,
-    );
-    // An equally-warm file-granular cache for the baseline phase (untimed
-    // warm-up; file-granular caches carry no regions to splice from).
-    let (_, _, granular_cache) = run_phase(
-        &det,
-        &corpus.files,
-        &process_config,
-        threads,
-        &empty,
-        false,
-        1,
     );
 
     // One statement appended to one file: the editor-keystroke workload.
@@ -301,8 +247,7 @@ pub fn measure_incremental(lang: Lang, scale: Scale, seed: u64, threads: usize) 
         &line_corpus,
         &process_config,
         threads,
-        &region_cache,
-        true,
+        &warm_cache,
         reps,
     );
     let (dirty_stmts, stmts_scan, _) = run_phase(
@@ -310,32 +255,19 @@ pub fn measure_incremental(lang: Lang, scale: Scale, seed: u64, threads: usize) 
         &stmts_corpus,
         &process_config,
         threads,
-        &region_cache,
-        true,
-        reps,
-    );
-    let (granular_line, granular_scan, _) = run_phase(
-        &det,
-        &line_corpus,
-        &process_config,
-        threads,
-        &granular_cache,
-        false,
+        &warm_cache,
         reps,
     );
 
     let identical = key(&cold_scan) == key(&full_base)
         && key(&warm_scan) == key(&full_base)
         && key(&line_scan) == key(&full_line)
-        && key(&stmts_scan) == key(&full_stmts)
-        && key(&granular_scan) == key(&full_line);
+        && key(&stmts_scan) == key(&full_stmts);
 
     let full_rescan = PhaseTiming {
         secs: full_secs,
         reused: 0,
         fresh: n,
-        stmt_hits: 0,
-        stmt_misses: 0,
         violations: full_line.violations.len(),
     };
     IncrementalBench {
@@ -343,18 +275,15 @@ pub fn measure_incremental(lang: Lang, scale: Scale, seed: u64, threads: usize) 
         files: n,
         stmts,
         threads,
-        base_patterns,
         patterns: det.pattern_count(),
         dirty_stmt_count,
         cold,
         warm,
         dirty_line,
         dirty_stmts,
-        granular_line,
         full_rescan,
         warm_speedup: cold.secs / warm.secs.max(1e-9),
         dirty_speedup: full_rescan.secs / dirty_line.secs.max(1e-9),
-        region_speedup: granular_line.secs / dirty_line.secs.max(1e-9),
         identical,
     }
 }
@@ -368,25 +297,15 @@ mod tests {
         let bench = measure_incremental(Lang::Python, Scale::Small, 7, 1);
         assert!(bench.identical, "incremental diverged from full scan");
         assert_eq!(bench.cold.fresh, bench.files);
-        // A cold scan matches fresh statements; repeated idioms may still
-        // splice within the scan (identical path sets dedup to one region).
-        assert!(bench.cold.stmt_misses > 0);
         assert_eq!(bench.warm.fresh, 0);
         assert_eq!(bench.warm.reused, bench.files);
-        // One file touched; its unchanged statements splice, the appended
-        // probe statement re-matches.
+        // One file touched: it alone re-scans, the rest come from the cache.
         assert_eq!(bench.dirty_line.fresh, 1);
-        assert!(bench.dirty_line.stmt_hits > 0, "no statements spliced");
-        assert!(bench.dirty_line.stmt_misses >= 1);
-        assert!(bench.dirty_stmts.fresh >= 1);
-        assert!(bench.dirty_stmts.stmt_hits > 0);
-        // The baseline runs file-granular: no region traffic at all.
-        assert_eq!(bench.granular_line.fresh, 1);
-        assert_eq!(bench.granular_line.stmt_hits, 0);
-        assert_eq!(bench.granular_line.stmt_misses, 0);
-        assert!(bench.patterns > bench.base_patterns);
+        assert_eq!(bench.dirty_line.reused, bench.files - 1);
+        assert!((1..=bench.dirty_stmt_count).contains(&bench.dirty_stmts.fresh));
+        assert_eq!(bench.full_rescan.fresh, bench.files);
+        assert!(bench.patterns > 0);
         assert!(bench.warm_speedup > 0.0);
         assert!(bench.dirty_speedup > 0.0);
-        assert!(bench.region_speedup > 0.0);
     }
 }

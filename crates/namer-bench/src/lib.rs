@@ -8,7 +8,6 @@
 
 pub mod incremental;
 pub mod registry;
-pub mod shard;
 pub mod throughput;
 
 use namer_core::{Namer, NamerBuilder, NamerConfig, Report, Violation};

@@ -14,7 +14,7 @@
 use crate::{labeler, namer_config, setup, Scale, Setup};
 use namer_core::{process_parallel_observed, Detector, Namer, SavedModel, ScanRequest};
 use namer_observe::{Observer, Phase, PipelineMetrics};
-use namer_patterns::{resolve_threads, MiningConfig, ShardPlan};
+use namer_patterns::{resolve_threads, MiningConfig};
 use namer_syntax::Lang;
 use std::time::Instant;
 
@@ -231,7 +231,7 @@ pub fn measure(lang: Lang, scale: Scale, seed: u64, thread_counts: &[usize]) -> 
 
 /// Times the corpus scan with an inert observer versus a live
 /// [`PipelineMetrics`] collector, interleaved best-of-`reps` per arm. One
-/// file thread, unsharded, so the single-worker loop — where per-statement
+/// file thread, so the single-worker loop — where per-statement
 /// instrumentation cost is least diluted — is what gets measured.
 pub fn measure_overhead(lang: Lang, scale: Scale, seed: u64, reps: usize) -> OverheadCheck {
     let Setup {
@@ -248,21 +248,16 @@ pub fn measure_overhead(lang: Lang, scale: Scale, seed: u64, reps: usize) -> Ove
     let det = Detector::mine(&processed, &commits, lang, &mining);
 
     let reps = reps.max(1);
-    let plan = ShardPlan::unsharded();
     let mut unobserved = f64::INFINITY;
     let mut observed = f64::INFINITY;
     for _ in 0..reps {
         let t = Instant::now();
-        let base = det.scan(ScanRequest::full(&processed).plan(plan));
+        let base = det.scan(ScanRequest::full(&processed));
         unobserved = unobserved.min(t.elapsed().as_secs_f64());
 
         let metrics = PipelineMetrics::new();
         let t = Instant::now();
-        let live = det.scan(
-            ScanRequest::full(&processed)
-                .plan(plan)
-                .observer(metrics.observer()),
-        );
+        let live = det.scan(ScanRequest::full(&processed).observer(metrics.observer()));
         observed = observed.min(t.elapsed().as_secs_f64());
         assert_eq!(
             base.violations.len(),

@@ -58,8 +58,8 @@ impl LevelCounts {
         }
     }
 
-    /// Accumulates another count set (merging per-shard counts of the
-    /// parallel scan).
+    /// Accumulates another count set (merging per-file counts into repo
+    /// aggregates).
     pub fn add(&mut self, other: LevelCounts) {
         self.matches += other.matches;
         self.satisfactions += other.satisfactions;

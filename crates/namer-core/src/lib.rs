@@ -9,18 +9,16 @@
 //! * [`process`](mod@process) — parse → §4.1 analyses → statements → AST+ → name paths;
 //! * [`detector`] — pattern mining and violation detection with the
 //!   17 features of Table 1 ([`features`]); one scan entry point,
-//!   [`Detector::scan`], covers full, incremental (file-granular or
-//!   statement-region spliced, DESIGN.md §14), and sharded scans, and
-//!   parallelises along both the file axis and the pattern axis
-//!   (prefix-disjoint shards, DESIGN.md §7 and §9) with byte-identical
-//!   results at any combination;
+//!   [`Detector::scan`], covers full and incremental (scan-cache-backed,
+//!   DESIGN.md §8) scans, and parallelises along the file axis with
+//!   byte-identical results at any thread count;
 //! * [`namer`] — the trained system: classifier fitting (SVM/LogReg/LDA with
 //!   model selection), reports, and the "w/o C" / "w/o A" ablations of
 //!   Tables 2 and 5;
 //! * [`session`] — the detection entry point: [`NamerBuilder`] assembles a
 //!   system from a trained [`Namer`], a [`SavedModel`], or raw mined parts,
-//!   and [`DetectSession::run`] covers full, incremental (scan-cache-backed,
-//!   DESIGN.md §8), and sharded scans behind one call;
+//!   and [`DetectSession::run`] covers full and incremental
+//!   (scan-cache-backed, DESIGN.md §8) scans behind one call;
 //! * [`persist`] — model snapshots ([`SavedModel`]) and the digest-keyed
 //!   [`ScanCache`] behind incremental runs, stored in the versioned binary
 //!   container of [`binfmt`], the only persistence format (DESIGN.md §12);
@@ -62,8 +60,8 @@ pub mod session;
 pub mod vfs;
 
 pub use detector::{
-    CacheStats, Detector, DetectorSpec, FileScanState, RawHit, RegionOutcome, ScanInput,
-    ScanRequest, ScanResult, StmtRegion, Violation,
+    CacheStats, Detector, DetectorSpec, FileScanState, RawHit, ScanInput, ScanRequest,
+    ScanResult, Violation,
 };
 pub use error::NamerError;
 pub use fix::{fix_line, rename_identifier};

@@ -5,7 +5,7 @@ use crate::detector::{Detector, ScanRequest, ScanResult, Violation};
 use crate::process::{process_parallel_observed, ProcessConfig};
 use namer_ml::{repeated_split_validation, select_model, Matrix, Metrics, ModelKind, Pipeline, PipelineConfig};
 use namer_observe::{Counter, Observer, Phase};
-use namer_patterns::{resolve_threads, MiningConfig, ShardPlan};
+use namer_patterns::{resolve_threads, MiningConfig};
 use namer_syntax::{Lang, SourceFile};
 use namer_base::rng::SmallRng;
 
@@ -31,10 +31,6 @@ pub struct NamerConfig {
     /// available cores, the paper's §5.1 setup). Results are byte-identical
     /// at any thread count; this knob only changes wall-clock time.
     pub threads: usize,
-    /// Pattern-axis sharding for mining recounts and scans (DESIGN.md §9).
-    /// Like `threads`, sharding never changes results — only wall-clock
-    /// time — but the plan is part of the scan-cache fingerprint.
-    pub shard_plan: ShardPlan,
 }
 
 impl Default for NamerConfig {
@@ -54,7 +50,6 @@ impl Default for NamerConfig {
             cv_repeats: 30,
             seed: 7,
             threads: 0,
-            shard_plan: ShardPlan::unsharded(),
         }
     }
 }
@@ -120,16 +115,10 @@ impl Namer {
         let corpus = process_parallel_observed(files, &config.process, threads, obs);
         let mining = MiningConfig {
             threads,
-            shard_plan: config.shard_plan,
             ..config.mining.clone()
         };
         let detector = Detector::mine_observed(&corpus, commits, lang, &mining, obs);
-        let scan = detector.scan(
-            ScanRequest::full(&corpus)
-                .threads(threads)
-                .plan(config.shard_plan)
-                .observer(obs),
-        );
+        let scan = detector.scan(ScanRequest::full(&corpus).threads(threads).observer(obs));
 
         let (classifier, cv_metrics, model_kind, training_set) = if config.use_classifier {
             Self::fit_classifier(&scan.violations, &labeler, config)
@@ -209,11 +198,10 @@ impl Namer {
     }
 
     /// The fingerprint a [`crate::persist::ScanCache`] must carry to be
-    /// valid for this system (covers the detector, the preprocessing
-    /// configuration, and the shard plan).
+    /// valid for this system (covers the detector and the preprocessing
+    /// configuration).
     pub fn scan_fingerprint(&self) -> u64 {
-        self.detector
-            .fingerprint(&self.config.process, &self.config.shard_plan)
+        self.detector.fingerprint(&self.config.process)
     }
 
     /// Filters a scan's violations through the classifier into reports.
@@ -275,15 +263,10 @@ impl Namer {
         self.model_kind = kind;
     }
 
-    /// Applies session-level overrides to the runtime configuration
-    /// (builder path; training-time knobs are left untouched).
-    pub(crate) fn override_runtime(&mut self, threads: Option<usize>, plan: Option<ShardPlan>) {
-        if let Some(t) = threads {
-            self.config.threads = t;
-        }
-        if let Some(p) = plan {
-            self.config.shard_plan = p;
-        }
+    /// Applies the session-level worker-thread override (builder path;
+    /// training-time knobs are left untouched).
+    pub(crate) fn override_threads(&mut self, threads: usize) {
+        self.config.threads = threads;
     }
 
     /// Table 9: classifier weights per original feature (standardised

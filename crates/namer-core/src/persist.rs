@@ -19,7 +19,7 @@
 //! a cache file that is not one loads cold.
 
 use crate::binfmt::{self, BinError, BinFile, BinWriter};
-use crate::detector::{DetectorSpec, FileScanState, RawHit, RegionOutcome, StmtRegion};
+use crate::detector::{DetectorSpec, FileScanState, RawHit};
 use crate::error::NamerError;
 use crate::features::LevelCounts;
 use crate::namer::{Namer, NamerConfig};
@@ -333,10 +333,9 @@ impl SavedModel {
 }
 
 /// Current scan-cache format version (independent of the model format).
-/// v2 added statement regions and per-state span keys (DESIGN.md §14);
-/// v1 caches load as [`CacheLoadStatus::VersionMismatch`] — cold, never
-/// wrong.
-pub const CACHE_FORMAT_VERSION: u32 = 2;
+/// A cache of any other version — v1, or v2 with its statement regions —
+/// loads as [`CacheLoadStatus::VersionMismatch`]: cold, never wrong.
+pub const CACHE_FORMAT_VERSION: u32 = 3;
 
 /// One cached entry: the file either parsed (with its scan state) or is
 /// known unparsable, so the incremental scan never re-parses it either way.
@@ -388,23 +387,12 @@ const CACHE_SEC_PATTERN_COUNTS: u32 = 4;
 const CACHE_SEC_DIGEST_COUNTS: u32 = 5;
 const CACHE_SEC_RAW: u32 = 6;
 const CACHE_SEC_RENDERED: u32 = 7;
-// v2 (DESIGN.md §14): per-state span keys and statement regions.
-const CACHE_SEC_SPANS: u32 = 8;
-const CACHE_SEC_REGIONS: u32 = 9;
-const CACHE_SEC_OUTCOMES: u32 = 10;
 
 const CACHE_META_BYTES: usize = 16;
-const ENTRY_RECORD_BYTES: usize = 56;
+const ENTRY_RECORD_BYTES: usize = 48;
 const PATTERN_COUNT_RECORD_BYTES: usize = 32;
 const DIGEST_COUNT_RECORD_BYTES: usize = 16;
 const RAW_RECORD_BYTES: usize = 48;
-const SPAN_RECORD_BYTES: usize = 16;
-const REGION_RECORD_BYTES: usize = 24;
-const OUTCOME_RECORD_BYTES: usize = 24;
-
-// RegionOutcome flag bits.
-const OUTCOME_SATISFIED: u32 = 1;
-const OUTCOME_HAS_NAMES: u32 = 2;
 
 const ENTRY_PARSE_FAILURE: u32 = 0;
 const ENTRY_PARSED: u32 = 1;
@@ -412,8 +400,8 @@ const ENTRY_PARSED: u32 = 1;
 /// Persisted per-file scan state, keyed by content digest.
 ///
 /// A `BTreeMap` keeps serialization deterministic: the same corpus and
-/// detector always produce byte-identical cache files, with entry and
-/// region records in ascending digest order.
+/// detector always produce byte-identical cache files, with entry records
+/// in ascending digest order.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ScanCache {
     /// Cache format version.
@@ -423,9 +411,6 @@ pub struct ScanCache {
     fingerprint: u64,
     /// Scan state per content digest.
     entries: BTreeMap<ContentDigest, CacheEntry>,
-    /// Statement regions per span-digest key, shared by all files
-    /// (DESIGN.md §14).
-    regions: BTreeMap<ContentDigest, StmtRegion>,
 }
 
 impl ScanCache {
@@ -435,7 +420,6 @@ impl ScanCache {
             version: CACHE_FORMAT_VERSION,
             fingerprint,
             entries: BTreeMap::new(),
-            regions: BTreeMap::new(),
         }
     }
 
@@ -469,38 +453,10 @@ impl ScanCache {
         self.entries.insert(digest, entry);
     }
 
-    /// The cached statement regions, keyed by span digest
-    /// (DESIGN.md §14).
-    pub fn regions(&self) -> &BTreeMap<ContentDigest, StmtRegion> {
-        &self.regions
-    }
-
-    /// Records a statement region under its span-digest key. First insert
-    /// wins: regions are pure functions of their key under this cache's
-    /// fingerprint, so a duplicate is byte-identical by construction.
-    pub fn insert_region(&mut self, key: ContentDigest, region: StmtRegion) {
-        self.regions.entry(key).or_insert(region);
-    }
-
     /// Drops every entry whose digest is not in `live`, so the cache tracks
-    /// the current corpus instead of growing without bound. Statement
-    /// regions are mark-and-swept through the surviving entries' span
-    /// lists: a region referenced by no live file's statements is dropped.
+    /// the current corpus instead of growing without bound.
     pub fn retain_digests(&mut self, live: &HashSet<ContentDigest>) {
         self.entries.retain(|k, _| live.contains(k));
-        if self.regions.is_empty() {
-            return;
-        }
-        let live_spans: HashSet<ContentDigest> = self
-            .entries
-            .values()
-            .filter_map(|entry| match entry {
-                CacheEntry::Parsed(state) => Some(state.spans.iter().copied()),
-                CacheEntry::ParseFailure => None,
-            })
-            .flatten()
-            .collect();
-        self.regions.retain(|k, _| live_spans.contains(k));
     }
 
     fn accept(parsed: ScanCache, fingerprint: u64) -> (ScanCache, CacheLoadStatus) {
@@ -529,7 +485,6 @@ impl ScanCache {
         let mut digest_counts: Vec<u8> = Vec::new();
         let mut raw: Vec<u8> = Vec::new();
         let mut rendered: Vec<u8> = Vec::new();
-        let mut spans: Vec<u8> = Vec::new();
 
         for (digest, entry) in &self.entries {
             let (kind, state) = match entry {
@@ -548,15 +503,6 @@ impl ScanCache {
                 (raw.len() / RAW_RECORD_BYTES) as u32,
                 state.map_or(0, |s| s.raw.len()) as u32,
             );
-            let span_digests = state.map_or(&[][..], |s| &s.spans[..]);
-            let (spans_off, spans_len) = (
-                (spans.len() / SPAN_RECORD_BYTES) as u32,
-                span_digests.len() as u32,
-            );
-            for d in span_digests {
-                spans.extend_from_slice(&(d.0 as u64).to_le_bytes());
-                spans.extend_from_slice(&((d.0 >> 64) as u64).to_le_bytes());
-            }
             if let Some(state) = state {
                 for &(idx, c) in &state.pattern_counts {
                     pattern_counts.extend_from_slice(&(idx as u64).to_le_bytes());
@@ -585,39 +531,9 @@ impl ScanCache {
             entries.extend_from_slice(&((digest.0 >> 64) as u64).to_le_bytes());
             entries.extend_from_slice(&kind.to_le_bytes());
             entries.extend_from_slice(&0u32.to_le_bytes()); // padding
-            for v in [
-                pc_off, pc_len, dc_off, dc_len, raw_off, raw_len, spans_off, spans_len,
-            ] {
+            for v in [pc_off, pc_len, dc_off, dc_len, raw_off, raw_len] {
                 entries.extend_from_slice(&v.to_le_bytes());
             }
-        }
-
-        let mut regions = Vec::with_capacity(self.regions.len() * REGION_RECORD_BYTES);
-        let mut outcomes: Vec<u8> = Vec::new();
-        for (digest, region) in &self.regions {
-            let out_off = (outcomes.len() / OUTCOME_RECORD_BYTES) as u32;
-            for o in &region.outcomes {
-                let mut flags = 0u32;
-                if o.satisfied {
-                    flags |= OUTCOME_SATISFIED;
-                }
-                let (original, suggested) = match o.names {
-                    Some((original, suggested)) => {
-                        flags |= OUTCOME_HAS_NAMES;
-                        (syms.id(original), syms.id(suggested))
-                    }
-                    None => (0, 0),
-                };
-                outcomes.extend_from_slice(&(o.pattern_idx as u64).to_le_bytes());
-                outcomes.extend_from_slice(&original.to_le_bytes());
-                outcomes.extend_from_slice(&suggested.to_le_bytes());
-                outcomes.extend_from_slice(&flags.to_le_bytes());
-                outcomes.extend_from_slice(&0u32.to_le_bytes()); // padding
-            }
-            regions.extend_from_slice(&(digest.0 as u64).to_le_bytes());
-            regions.extend_from_slice(&((digest.0 >> 64) as u64).to_le_bytes());
-            regions.extend_from_slice(&out_off.to_le_bytes());
-            regions.extend_from_slice(&(region.outcomes.len() as u32).to_le_bytes());
         }
 
         let mut meta = Vec::with_capacity(CACHE_META_BYTES);
@@ -633,9 +549,6 @@ impl ScanCache {
         w.section(CACHE_SEC_DIGEST_COUNTS, digest_counts);
         w.section(CACHE_SEC_RAW, raw);
         w.section(CACHE_SEC_RENDERED, rendered);
-        w.section(CACHE_SEC_SPANS, spans);
-        w.section(CACHE_SEC_REGIONS, regions);
-        w.section(CACHE_SEC_OUTCOMES, outcomes);
         w.finish()
     }
 
@@ -666,9 +579,9 @@ impl ScanCache {
             )));
         }
         let version = flat::read_u32(meta, 0)?;
-        // Check the format version before requiring any v2 section: a v1
-        // binary is a clean [`CacheLoadStatus::VersionMismatch`] (cold,
-        // never wrong), not a corrupt file.
+        // Check the format version before decoding any other section: a
+        // v1 or v2 binary is a clean [`CacheLoadStatus::VersionMismatch`]
+        // (cold, never wrong), not a corrupt file.
         if version != CACHE_FORMAT_VERSION {
             return Err(BinError::UnsupportedVersion(version));
         }
@@ -680,17 +593,11 @@ impl ScanCache {
         let dc_bytes = file.require(CACHE_SEC_DIGEST_COUNTS)?;
         let raw_bytes = file.require(CACHE_SEC_RAW)?;
         let rendered = file.require(CACHE_SEC_RENDERED)?;
-        let spans_bytes = file.require(CACHE_SEC_SPANS)?;
-        let region_bytes = file.require(CACHE_SEC_REGIONS)?;
-        let outcome_bytes = file.require(CACHE_SEC_OUTCOMES)?;
         for (len, record, what) in [
             (entry_bytes.len(), ENTRY_RECORD_BYTES, "entry"),
             (pc_bytes.len(), PATTERN_COUNT_RECORD_BYTES, "pattern-count"),
             (dc_bytes.len(), DIGEST_COUNT_RECORD_BYTES, "digest-count"),
             (raw_bytes.len(), RAW_RECORD_BYTES, "raw-hit"),
-            (spans_bytes.len(), SPAN_RECORD_BYTES, "span"),
-            (region_bytes.len(), REGION_RECORD_BYTES, "region"),
-            (outcome_bytes.len(), OUTCOME_RECORD_BYTES, "outcome"),
         ] {
             if len % record != 0 {
                 return Err(BinError::Malformed(format!(
@@ -701,8 +608,6 @@ impl ScanCache {
         let pc_total = pc_bytes.len() / PATTERN_COUNT_RECORD_BYTES;
         let dc_total = dc_bytes.len() / DIGEST_COUNT_RECORD_BYTES;
         let raw_total = raw_bytes.len() / RAW_RECORD_BYTES;
-        let spans_total = spans_bytes.len() / SPAN_RECORD_BYTES;
-        let outcome_total = outcome_bytes.len() / OUTCOME_RECORD_BYTES;
         let range = |off: u32, len: u32, total: usize, what: &str| -> Result<(usize, usize), BinError> {
             let (off, len) = (off as usize, len as usize);
             if off.checked_add(len).is_none_or(|end| end > total) {
@@ -736,12 +641,6 @@ impl ScanCache {
                 flat::read_u32(entry_bytes, at + 44)?,
                 raw_total,
                 "raw-hit",
-            )?;
-            let (spans_off, spans_len) = range(
-                flat::read_u32(entry_bytes, at + 48)?,
-                flat::read_u32(entry_bytes, at + 52)?,
-                spans_total,
-                "span",
             )?;
             let entry = match kind {
                 ENTRY_PARSE_FAILURE => CacheEntry::ParseFailure,
@@ -797,14 +696,6 @@ impl ScanCache {
                             suggested: syms.sym(flat::read_u32(raw_bytes, at + 16)?)?,
                         });
                     }
-                    for i in spans_off..spans_off + spans_len {
-                        let at = i * SPAN_RECORD_BYTES;
-                        let lo = flat::read_u64(spans_bytes, at)?;
-                        let hi = flat::read_u64(spans_bytes, at + 8)?;
-                        state
-                            .spans
-                            .push(ContentDigest((u128::from(hi) << 64) | u128::from(lo)));
-                    }
                     CacheEntry::Parsed(state)
                 }
                 other => {
@@ -814,47 +705,10 @@ impl ScanCache {
             entries.insert(digest, entry);
         }
 
-        let mut regions = BTreeMap::new();
-        for at in (0..region_bytes.len()).step_by(REGION_RECORD_BYTES) {
-            let lo = flat::read_u64(region_bytes, at)?;
-            let hi = flat::read_u64(region_bytes, at + 8)?;
-            let key = ContentDigest((u128::from(hi) << 64) | u128::from(lo));
-            let (out_off, out_len) = range(
-                flat::read_u32(region_bytes, at + 16)?,
-                flat::read_u32(region_bytes, at + 20)?,
-                outcome_total,
-                "outcome",
-            )?;
-            let mut outcomes = Vec::with_capacity(out_len);
-            for i in out_off..out_off + out_len {
-                let at = i * OUTCOME_RECORD_BYTES;
-                let pattern_idx = usize::try_from(flat::read_u64(outcome_bytes, at)?)
-                    .map_err(|_| BinError::Malformed("pattern index overflows".into()))?;
-                let flags = flat::read_u32(outcome_bytes, at + 16)?;
-                // Sym id 0 is a valid interned symbol: decode names only
-                // when the flag says they were written.
-                let names = if flags & OUTCOME_HAS_NAMES != 0 {
-                    Some((
-                        syms.sym(flat::read_u32(outcome_bytes, at + 8)?)?,
-                        syms.sym(flat::read_u32(outcome_bytes, at + 12)?)?,
-                    ))
-                } else {
-                    None
-                };
-                outcomes.push(RegionOutcome {
-                    pattern_idx,
-                    satisfied: flags & OUTCOME_SATISFIED != 0,
-                    names,
-                });
-            }
-            regions.insert(key, StmtRegion { outcomes });
-        }
-
         Ok(ScanCache {
             version,
             fingerprint,
             entries,
-            regions,
         })
     }
 
@@ -1078,8 +932,6 @@ mod tests {
         let mut cache = ScanCache::empty(42);
         let d1 = namer_syntax::content_digest("x = 1\n", Lang::Python);
         let d2 = namer_syntax::content_digest("y = 2\n", Lang::Python);
-        let span_a = ContentDigest(0x1234_5678_9ABC_DEF0_u128);
-        let span_b = ContentDigest(u128::MAX - 7);
         cache.insert(d1, CacheEntry::ParseFailure);
         cache.insert(
             d2,
@@ -1098,23 +950,8 @@ mod tests {
                     original: Sym::intern("True"),
                     suggested: Sym::intern("Equal"),
                 }],
-                spans: vec![span_a, span_b],
             }),
         );
-        cache.insert_region(
-            span_a,
-            StmtRegion {
-                outcomes: vec![
-                    RegionOutcome { pattern_idx: 0, satisfied: true, names: None },
-                    RegionOutcome {
-                        pattern_idx: 7,
-                        satisfied: false,
-                        names: Some((Sym::intern("True"), Sym::intern("Equal"))),
-                    },
-                ],
-            },
-        );
-        cache.insert_region(span_b, StmtRegion { outcomes: Vec::new() });
         cache
     }
 
@@ -1195,24 +1032,5 @@ mod tests {
         assert!(cache.contains(a));
         assert!(!cache.contains(b));
         assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn retain_digests_sweeps_unreferenced_regions() {
-        let cache = sample_cache();
-        let d2 = namer_syntax::content_digest("y = 2\n", Lang::Python);
-        assert_eq!(cache.regions().len(), 2);
-
-        // The parsed entry survives: its spans keep both regions alive.
-        let mut keep = cache.clone();
-        keep.retain_digests(&[d2].into_iter().collect());
-        assert_eq!(keep.len(), 1);
-        assert_eq!(keep.regions().len(), 2);
-
-        // Nothing survives: the regions are unreferenced and swept.
-        let mut sweep = cache.clone();
-        sweep.retain_digests(&HashSet::new());
-        assert!(sweep.is_empty());
-        assert!(sweep.regions().is_empty());
     }
 }

@@ -4,10 +4,9 @@
 //! `detect_processed` / `detect_incremental` / `from_parts` quartet:
 //! a [`NamerBuilder`] assembles a system from any source (a trained
 //! [`Namer`], a [`SavedModel`], or raw mined parts), layers on runtime
-//! overrides (worker threads, pattern shards, an on-disk scan cache), and
-//! produces a [`DetectSession`] whose single [`DetectSession::run`] entry
-//! point covers full, cached, and sharded scans uniformly — byte-identical
-//! results in every mode.
+//! overrides (worker threads, an on-disk scan cache), and produces a
+//! [`DetectSession`] whose single [`DetectSession::run`] entry point covers
+//! full and cached scans uniformly — byte-identical results in every mode.
 //!
 //! ```no_run
 //! use namer_core::session::NamerBuilder;
@@ -16,7 +15,6 @@
 //! let mut session = NamerBuilder::new()
 //!     .model(model)
 //!     .threads(8)
-//!     .pattern_shards(4)
 //!     .cache_dir(".namer-cache")
 //!     .build()?;
 //! let outcome = session.run(&files)?;
@@ -40,7 +38,7 @@ use namer_ml::{ModelKind, Pipeline};
 use namer_observe::{
     Counter, MetricsSink, MetricsSnapshot, Observer, Phase, PipelineMetrics, Tee,
 };
-use namer_patterns::{resolve_threads, ConfusingPairs, NamePattern, ShardPlan};
+use namer_patterns::{resolve_threads, ConfusingPairs, NamePattern};
 use namer_syntax::{ContentDigest, Lang, SourceFile};
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -78,7 +76,6 @@ pub struct NamerBuilder {
     lang: Option<Lang>,
     config: Option<NamerConfig>,
     threads: Option<usize>,
-    shard_plan: Option<ShardPlan>,
     cache_dir: Option<PathBuf>,
     sink: Option<Arc<dyn MetricsSink>>,
     vfs: Option<Arc<dyn Vfs>>,
@@ -96,8 +93,8 @@ impl NamerBuilder {
     }
 
     /// Uses a system trained in-process as the source. Its training-time
-    /// configuration is kept; combine with [`NamerBuilder::threads`] /
-    /// [`NamerBuilder::pattern_shards`] for runtime overrides.
+    /// configuration is kept; combine with [`NamerBuilder::threads`] for
+    /// the worker-thread override.
     pub fn namer(mut self, namer: Namer) -> NamerBuilder {
         self.source = Some(Source::Trained(Box::new(namer)));
         self
@@ -172,23 +169,6 @@ impl NamerBuilder {
     /// cores).
     pub fn threads(mut self, threads: usize) -> NamerBuilder {
         self.threads = Some(threads);
-        self
-    }
-
-    /// Pattern-shard override: split the pattern set into `shards`
-    /// prefix-disjoint shards per file chunk (`1` = unsharded, `0` = one
-    /// shard per core; see DESIGN.md §9). Keeps the default size threshold;
-    /// use [`NamerBuilder::shard_plan`] for full control.
-    pub fn pattern_shards(mut self, shards: usize) -> NamerBuilder {
-        let mut plan = self.shard_plan.unwrap_or_default();
-        plan.shards = shards;
-        self.shard_plan = Some(plan);
-        self
-    }
-
-    /// Full shard-plan override (shard count and fallback threshold).
-    pub fn shard_plan(mut self, plan: ShardPlan) -> NamerBuilder {
-        self.shard_plan = Some(plan);
         self
     }
 
@@ -268,8 +248,8 @@ impl NamerBuilder {
             Source::Trained(namer) => {
                 if self.config.is_some() {
                     return Err(NamerError::InvalidConfig(
-                        "a trained system carries its own config; use .threads()/.pattern_shards() \
-                         for runtime overrides"
+                        "a trained system carries its own config; use .threads() for the \
+                         runtime override"
                             .to_owned(),
                     ));
                 }
@@ -337,7 +317,9 @@ impl NamerBuilder {
         if let Some((pipeline, kind)) = self.classifier {
             namer.set_classifier(Some(pipeline), kind);
         }
-        namer.override_runtime(self.threads, self.shard_plan);
+        if let Some(threads) = self.threads {
+            namer.override_threads(threads);
+        }
 
         let vfs = self.vfs.unwrap_or_else(|| Arc::new(RealFs));
         let retry = self.retry.unwrap_or_default();
@@ -407,7 +389,7 @@ struct SessionCache {
 ///
 /// Holds the assembled [`Namer`] and, when configured, the loaded scan
 /// cache. [`DetectSession::run`] is the one entry point: it processes,
-/// scans (sharded per the session's plan), classifies, and — with a cache
+/// scans over file-chunk workers, classifies, and — with a cache
 /// directory — persists updated cache state, all with byte-identical
 /// results in every mode.
 pub struct DetectSession {
@@ -434,7 +416,7 @@ impl DetectSession {
     ///
     /// Every run collects its own [`MetricsSnapshot`]
     /// ([`DetectOutcome::metrics`]); counter totals are deterministic across
-    /// any thread/shard combination and across cold/warm cache runs of the
+    /// any thread count and across cold/warm cache runs of the
     /// same inputs (DESIGN.md §10).
     ///
     /// # Errors
@@ -466,7 +448,6 @@ impl DetectSession {
     ) -> Result<DetectOutcome, NamerError> {
         let _span = obs.phase(Phase::Detect);
         let threads = resolve_threads(self.namer.config().threads);
-        let plan = self.namer.config().shard_plan;
         let process = self.namer.config().process;
         // Ingestion robustness events (quarantines, retries) seeded at
         // build time count into the *first* run's own metrics, so one
@@ -487,12 +468,10 @@ impl DetectSession {
         let retry = self.retry;
         let Some(state) = self.cache.as_mut() else {
             let corpus = process_parallel_observed(files, &process, threads, obs);
-            let scan = self.namer.detector.scan(
-                ScanRequest::full(&corpus)
-                    .threads(threads)
-                    .plan(plan)
-                    .observer(obs),
-            );
+            let scan = self
+                .namer
+                .detector
+                .scan(ScanRequest::full(&corpus).threads(threads).observer(obs));
             let reports = self.namer.reports_from(&scan, obs);
             return Ok(DetectOutcome {
                 reports,
@@ -526,7 +505,6 @@ impl DetectSession {
         let scan = self.namer.detector.scan(
             ScanRequest::incremental(files, &process, &mut state.cache)
                 .threads(threads)
-                .plan(plan)
                 .observer(obs),
         );
         // Keep the cache bounded by the current input set before saving.
@@ -580,13 +558,10 @@ impl DetectSession {
     fn run_processed_observed(&self, corpus: &ProcessedCorpus, obs: Observer<'_>) -> DetectOutcome {
         let _span = obs.phase(Phase::Detect);
         let threads = resolve_threads(self.namer.config().threads);
-        let plan = self.namer.config().shard_plan;
-        let scan = self.namer.detector.scan(
-            ScanRequest::full(corpus)
-                .threads(threads)
-                .plan(plan)
-                .observer(obs),
-        );
+        let scan = self
+            .namer
+            .detector
+            .scan(ScanRequest::full(corpus).threads(threads).observer(obs));
         let reports = self.namer.reports_from(&scan, obs);
         DetectOutcome {
             reports,

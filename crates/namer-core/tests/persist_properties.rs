@@ -8,8 +8,8 @@ use namer_base::rng::SmallRng;
 use namer_core::binfmt::{self, BinFile, BinWriter};
 use namer_core::persist::FORMAT_VERSION;
 use namer_core::{
-    CacheEntry, CacheLoadStatus, FileScanState, LevelCounts, PersistError, RawHit, RegionOutcome,
-    SavedModel, ScanCache, StmtRegion, CACHE_FORMAT_VERSION,
+    CacheEntry, CacheLoadStatus, FileScanState, LevelCounts, PersistError, RawHit, SavedModel,
+    ScanCache, CACHE_FORMAT_VERSION,
 };
 use namer_ml::ModelKind;
 use namer_patterns::{ConfusingPairs, NamePattern};
@@ -99,11 +99,6 @@ fn raw_hit(rng: &mut SmallRng) -> RawHit {
     }
 }
 
-/// Region keys as the scanner writes them: 128-bit span digests.
-fn span_key(rng: &mut SmallRng) -> ContentDigest {
-    ContentDigest(rng.gen())
-}
-
 /// Sorted-`Vec` invariants hold by construction: the count tables come from
 /// `BTreeMap`s, so keys are unique and ascending, exactly as `scan_file`
 /// produces them.
@@ -114,21 +109,6 @@ fn file_scan_state(rng: &mut SmallRng) -> FileScanState {
         pattern_counts: patterns.into_iter().collect(),
         digest_counts: digests.into_iter().collect(),
         raw: prop::vec(rng, 0..5, raw_hit),
-        spans: prop::vec(rng, 0..4, span_key),
-    }
-}
-
-fn region_outcome(rng: &mut SmallRng) -> RegionOutcome {
-    RegionOutcome {
-        pattern_idx: rng.gen_range(0usize..64),
-        satisfied: rng.gen(),
-        names: prop::option(rng, |r| (sym(r), sym(r))),
-    }
-}
-
-fn stmt_region(rng: &mut SmallRng) -> StmtRegion {
-    StmtRegion {
-        outcomes: prop::vec(rng, 0..4, region_outcome),
     }
 }
 
@@ -145,9 +125,6 @@ fn scan_cache(rng: &mut SmallRng) -> ScanCache {
     let entries = prop::btree_map(rng, 0..6, |r| ContentDigest(r.gen()), cache_entry);
     for (digest, entry) in entries {
         cache.insert(digest, entry);
-    }
-    for (key, region) in prop::btree_map(rng, 0..4, span_key, stmt_region) {
-        cache.insert_region(key, region);
     }
     cache
 }

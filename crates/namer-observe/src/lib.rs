@@ -2,8 +2,8 @@
 //!
 //! Every stage of the mine/scan pipeline reports into a [`MetricsSink`]:
 //! monotonic [`Counter`]s, per-[`Phase`] wall-clock timings (recorded by
-//! RAII [`PhaseGuard`]s), per-phase worker busy time, and per-pattern-shard
-//! busy time. Instrumented code holds an [`Observer`] — a `Copy` handle that
+//! RAII [`PhaseGuard`]s) and per-phase worker busy time. Instrumented code
+//! holds an [`Observer`] — a `Copy` handle that
 //! is either a live borrow of a sink or inert — so uninstrumented callers
 //! pay one branch per event and no allocation ever.
 //!
@@ -15,9 +15,8 @@
 //!
 //! Counter totals are **deterministic-sum invariant**: instrumentation
 //! points are placed so every counted event is attributed exactly once no
-//! matter how work is scheduled, so totals are identical at any
-//! file-threads × pattern-shards combination (and between full, cached, and
-//! sharded scans of the same warmth). Timings and per-shard busy splits are
+//! matter how work is scheduled, so totals are identical at any file-thread
+//! count (and between full and cached scans of the same warmth). Timings are
 //! scheduling-dependent by nature and carry no such guarantee.
 //!
 //! ```
@@ -45,12 +44,7 @@ use std::time::Instant;
 /// Version of the [`MetricsSnapshot`] JSON schema (the `--metrics-out`
 /// format). Bumped whenever a key is renamed or removed; adding keys keeps
 /// the version.
-pub const SCHEMA_VERSION: u32 = 1;
-
-/// Pattern-shard busy-time slots tracked by [`PipelineMetrics`]. Shard
-/// indices beyond the last slot fold into it (plans that wide are far past
-/// the useful range — see DESIGN.md §9).
-pub const MAX_TRACKED_SHARDS: usize = 32;
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// Monotonic event counters, each attributed exactly once per event (the
 /// deterministic half of the metrics — see the crate docs).
@@ -113,11 +107,6 @@ pub enum Counter {
     /// JSON-RPC requests rejected with the typed `server_busy` error
     /// because the daemon's bounded request queue was full (DESIGN.md §13).
     ServeRejectedBusy,
-    /// Statements whose match outcomes were spliced from a cached statement
-    /// region instead of re-matched (DESIGN.md §14).
-    StmtCacheHits,
-    /// Statements re-matched because no cached region covered their paths.
-    StmtCacheMisses,
     /// Findings-change events pushed to watchers (`namer watch` diffs and
     /// `file.findings` notifications; DESIGN.md §14).
     WatchEvents,
@@ -126,7 +115,7 @@ pub enum Counter {
 impl Counter {
     /// Every counter, in declaration order (= snapshot key order modulo the
     /// alphabetical `BTreeMap` sort).
-    pub const ALL: [Counter; 27] = [
+    pub const ALL: [Counter; 25] = [
         Counter::FilesProcessed,
         Counter::ParseFailures,
         Counter::StatementsProcessed,
@@ -151,8 +140,6 @@ impl Counter {
         Counter::RegistryEvictions,
         Counter::ServeRequests,
         Counter::ServeRejectedBusy,
-        Counter::StmtCacheHits,
-        Counter::StmtCacheMisses,
         Counter::WatchEvents,
     ];
 
@@ -183,8 +170,6 @@ impl Counter {
             Counter::RegistryEvictions => "registry_evictions",
             Counter::ServeRequests => "serve_requests",
             Counter::ServeRejectedBusy => "serve_rejected_busy",
-            Counter::StmtCacheHits => "stmt_cache_hits",
-            Counter::StmtCacheMisses => "stmt_cache_misses",
             Counter::WatchEvents => "watch_events",
         }
     }
@@ -211,7 +196,7 @@ pub enum Phase {
     MineCandidates,
     /// The `pruneUncommon` recount and filter.
     MinePrune,
-    /// The per-file scan pass (file chunks × pattern shards).
+    /// The per-file scan pass (file-chunk workers).
     Scan,
     /// Scan assembly: repo aggregates, features, deduplication.
     Assemble,
@@ -281,8 +266,6 @@ pub trait MetricsSink: Send + Sync {
     fn time(&self, phase: Phase, wall_nanos: u64);
     /// Adds `nanos` of worker busy time to `phase`.
     fn busy(&self, phase: Phase, nanos: u64);
-    /// Adds `nanos` of busy time to pattern shard `shard`.
-    fn shard_busy(&self, shard: usize, nanos: u64);
 }
 
 /// A `Copy` handle threaded through the pipeline: either a live borrow of a
@@ -324,13 +307,6 @@ impl<'a> Observer<'a> {
         }
     }
 
-    /// Adds `nanos` of busy time to pattern shard `shard`.
-    pub fn shard_busy(&self, shard: usize, nanos: u64) {
-        if let Some(sink) = self.sink {
-            sink.shard_busy(shard, nanos);
-        }
-    }
-
     /// Starts timing `phase`; the returned guard records the wall time when
     /// dropped. Inert observers return an inert guard (no clock read).
     pub fn phase(&self, phase: Phase) -> PhaseGuard<'a> {
@@ -363,8 +339,6 @@ pub struct PipelineMetrics {
     wall: [AtomicU64; Phase::ALL.len()],
     busy: [AtomicU64; Phase::ALL.len()],
     calls: [AtomicU64; Phase::ALL.len()],
-    shard_busy: [AtomicU64; MAX_TRACKED_SHARDS],
-    shards_seen: AtomicU64,
 }
 
 impl Default for PipelineMetrics {
@@ -381,8 +355,6 @@ impl PipelineMetrics {
             wall: std::array::from_fn(|_| AtomicU64::new(0)),
             busy: std::array::from_fn(|_| AtomicU64::new(0)),
             calls: std::array::from_fn(|_| AtomicU64::new(0)),
-            shard_busy: std::array::from_fn(|_| AtomicU64::new(0)),
-            shards_seen: AtomicU64::new(0),
         }
     }
 
@@ -418,17 +390,10 @@ impl PipelineMetrics {
                 )
             })
             .collect();
-        let seen = (self.shards_seen.load(Ordering::Relaxed) as usize).min(MAX_TRACKED_SHARDS);
-        let shard_busy_nanos: Vec<u64> = self.shard_busy[..seen]
-            .iter()
-            .map(|s| s.load(Ordering::Relaxed))
-            .collect();
         MetricsSnapshot {
             schema_version: SCHEMA_VERSION,
             counters,
             phases,
-            shard_imbalance: imbalance(&shard_busy_nanos),
-            shard_busy_nanos,
         }
     }
 }
@@ -445,13 +410,6 @@ impl MetricsSink for PipelineMetrics {
 
     fn busy(&self, phase: Phase, nanos: u64) {
         self.busy[phase as usize].fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    fn shard_busy(&self, shard: usize, nanos: u64) {
-        let slot = shard.min(MAX_TRACKED_SHARDS - 1);
-        self.shard_busy[slot].fetch_add(nanos, Ordering::Relaxed);
-        self.shards_seen
-            .fetch_max(slot as u64 + 1, Ordering::Relaxed);
     }
 }
 
@@ -479,11 +437,6 @@ impl MetricsSink for Tee<'_> {
         self.0.busy(phase, nanos);
         self.1.busy(phase, nanos);
     }
-
-    fn shard_busy(&self, shard: usize, nanos: u64) {
-        self.0.shard_busy(shard, nanos);
-        self.1.shard_busy(shard, nanos);
-    }
 }
 
 /// Aggregated timings of one phase.
@@ -510,11 +463,6 @@ pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
     /// Phase timings by [`Phase::name`].
     pub phases: BTreeMap<String, PhaseStat>,
-    /// Busy nanoseconds per pattern shard (empty when no sharded scan ran).
-    pub shard_busy_nanos: Vec<u64>,
-    /// Shard imbalance ratio: max shard busy / mean shard busy (`0.0`
-    /// without shard data; `1.0` is perfectly balanced).
-    pub shard_imbalance: f64,
 }
 
 impl MetricsSnapshot {
@@ -539,8 +487,8 @@ impl MetricsSnapshot {
         self.to_value().to_pretty()
     }
 
-    /// Zeroes every scheduling-dependent value — phase wall/busy nanos and
-    /// per-shard busy splits — leaving only the deterministic half of the
+    /// Zeroes every scheduling-dependent value — phase wall and busy nanos
+    /// — leaving only the deterministic half of the
     /// snapshot (counters, span calls, the full key set). The detection
     /// daemon applies this in deterministic mode so recorded wire
     /// transcripts can be diffed byte-exactly (DESIGN.md §13).
@@ -549,10 +497,6 @@ impl MetricsSnapshot {
             stat.wall_nanos = 0;
             stat.busy_nanos = 0;
         }
-        for busy in &mut self.shard_busy_nanos {
-            *busy = 0;
-        }
-        self.shard_imbalance = 0.0;
     }
 
     /// Parses a snapshot back from [`MetricsSnapshot::to_json`] output.
@@ -565,7 +509,7 @@ impl MetricsSnapshot {
     }
 
     /// Human-readable summary (the CLI's `--timings` output): phases with
-    /// any activity, then non-zero counters, then the shard balance line.
+    /// any activity, then non-zero counters.
     pub fn render_human(&self) -> String {
         let mut out = String::from("── timings ──────────────────────────────\n");
         for &p in &Phase::ALL {
@@ -589,15 +533,6 @@ impl MetricsSnapshot {
                 out.push_str(&format!("{:>24}  {n}\n", c.name()));
             }
         }
-        if !self.shard_busy_nanos.is_empty() {
-            out.push_str(&format!(
-                "── shards ───────────────────────────────\n\
-                 {:>16}  {:?} busy ns, imbalance {:.2}\n",
-                format!("{} shard(s)", self.shard_busy_nanos.len()),
-                self.shard_busy_nanos,
-                self.shard_imbalance,
-            ));
-        }
         out
     }
 }
@@ -618,8 +553,6 @@ namer_base::to_json_fields!(MetricsSnapshot {
     schema_version,
     counters,
     phases,
-    shard_busy_nanos,
-    shard_imbalance,
 });
 
 impl FromJson for MetricsSnapshot {
@@ -628,24 +561,7 @@ impl FromJson for MetricsSnapshot {
             schema_version: v.field("schema_version")?,
             counters: v.field("counters")?,
             phases: v.field("phases")?,
-            shard_busy_nanos: v.field("shard_busy_nanos")?,
-            shard_imbalance: v.field("shard_imbalance")?,
         })
-    }
-}
-
-/// Max/mean ratio of per-shard busy time (`0.0` for empty or all-idle
-/// shards).
-fn imbalance(busy: &[u64]) -> f64 {
-    if busy.is_empty() {
-        return 0.0;
-    }
-    let max = busy.iter().copied().max().unwrap_or(0);
-    let mean = busy.iter().sum::<u64>() as f64 / busy.len() as f64;
-    if mean <= 0.0 {
-        0.0
-    } else {
-        max as f64 / mean
     }
 }
 
@@ -689,27 +605,10 @@ mod tests {
         assert!(!obs.is_active());
         obs.add(Counter::FilesScanned, 5);
         obs.busy(Phase::Scan, 100);
-        obs.shard_busy(0, 100);
         drop(obs.phase(Phase::Scan));
         let snap = m.snapshot();
         assert_eq!(snap.counter(Counter::FilesScanned), 0);
         assert_eq!(snap.phase(Phase::Scan), PhaseStat::default());
-    }
-
-    #[test]
-    fn shard_busy_tracks_slots_and_imbalance() {
-        let m = PipelineMetrics::new();
-        let obs = m.observer();
-        obs.shard_busy(0, 300);
-        obs.shard_busy(1, 100);
-        // Out-of-range shard folds into the last slot instead of panicking.
-        obs.shard_busy(MAX_TRACKED_SHARDS + 7, 1);
-        let snap = m.snapshot();
-        assert_eq!(snap.shard_busy_nanos.len(), MAX_TRACKED_SHARDS);
-        assert_eq!(snap.shard_busy_nanos[0], 300);
-        assert_eq!(snap.shard_busy_nanos[1], 100);
-        assert_eq!(*snap.shard_busy_nanos.last().unwrap(), 1);
-        assert!(snap.shard_imbalance > 1.0);
     }
 
     #[test]
@@ -720,14 +619,12 @@ mod tests {
         let obs = Observer::new(&tee);
         obs.add(Counter::ReportsEmitted, 2);
         obs.busy(Phase::Scan, 9);
-        obs.shard_busy(1, 5);
         drop(obs.phase(Phase::Detect));
         for m in [&a, &b] {
             let snap = m.snapshot();
             assert_eq!(snap.counter(Counter::ReportsEmitted), 2);
             assert_eq!(snap.phase(Phase::Scan).busy_nanos, 9);
             assert_eq!(snap.phase(Phase::Detect).calls, 1);
-            assert_eq!(snap.shard_busy_nanos[1], 5);
         }
     }
 
@@ -766,7 +663,6 @@ mod tests {
         let obs = m.observer();
         obs.add(Counter::ServeRequests, 2);
         obs.busy(Phase::Scan, 999);
-        obs.shard_busy(1, 123);
         drop(obs.phase(Phase::Serve));
         let mut snap = m.snapshot();
         snap.scrub_timings();
@@ -774,8 +670,6 @@ mod tests {
         assert_eq!(snap.phase(Phase::Serve).calls, 1);
         assert_eq!(snap.phase(Phase::Serve).wall_nanos, 0);
         assert_eq!(snap.phase(Phase::Scan).busy_nanos, 0);
-        assert!(snap.shard_busy_nanos.iter().all(|&b| b == 0));
-        assert_eq!(snap.shard_imbalance, 0.0);
     }
 
     #[test]

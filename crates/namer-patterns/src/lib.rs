@@ -7,9 +7,6 @@
 //! * [`fptree`] — the frequent-pattern tree of Algorithm 1;
 //! * [`mining`] — Algorithms 1 & 2 plus `pruneUncommon`, and the
 //!   [`PatternSet`] matcher used at inference time;
-//! * [`shard`] — pattern-axis sharding: prefix-disjoint [`PatternShards`]
-//!   built from a [`ShardPlan`], so huge mined sets scan across cores
-//!   (DESIGN.md §9);
 //! * [`confusion`] — confusing word pairs mined from commit histories via
 //!   AST diffing;
 //! * [`flat`] — the flat fixed-width pattern/path/pair layout used by the
@@ -43,7 +40,6 @@ pub mod flat;
 pub mod fptree;
 pub mod mining;
 pub mod pattern;
-pub mod shard;
 
 pub use confusion::{diff_word_pairs, ConfusingPairs};
 pub use fptree::FpTree;
@@ -52,4 +48,3 @@ pub use mining::{
     PatternSet,
 };
 pub use pattern::{NamePattern, PatternType, Relation, ViolationDetail};
-pub use shard::{merge_shard_hits, PatternShards, ShardHit, ShardPlan};

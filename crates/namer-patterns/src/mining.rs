@@ -4,7 +4,6 @@
 use crate::confusion::ConfusingPairs;
 use crate::fptree::{FpTree, NodeRef};
 use crate::pattern::{NamePattern, PatternType, Relation};
-use crate::shard::{PatternShards, ShardPlan};
 use namer_observe::{Counter, Observer, Phase};
 use namer_syntax::namepath::NamePath;
 use namer_syntax::{PrefixId, Sym};
@@ -30,10 +29,6 @@ pub struct MiningConfig {
     /// Worker threads for the `pruneUncommon` recount, the dominant mining
     /// cost (`0` = all available cores). Results are identical at any count.
     pub threads: usize,
-    /// Pattern-axis sharding for the recount (DESIGN.md §9): each statement
-    /// chunk is additionally split across prefix-disjoint pattern shards.
-    /// Like `threads`, this only changes scheduling, never results.
-    pub shard_plan: ShardPlan,
 }
 
 impl Default for MiningConfig {
@@ -45,7 +40,6 @@ impl Default for MiningConfig {
             min_support: 100,
             min_satisfaction: 0.8,
             threads: 1,
-            shard_plan: ShardPlan::unsharded(),
         }
     }
 }
@@ -150,7 +144,7 @@ pub fn mine_patterns(
 /// `pruneUncommon` recount report as [`Phase::MineCandidates`] /
 /// [`Phase::MinePrune`], and the candidate count lands in
 /// [`Counter::PatternCandidates`]. Candidate generation is serial, so the
-/// counter is identical at any thread/shard combination (DESIGN.md §10).
+/// counter is identical at any thread count (DESIGN.md §10).
 ///
 /// # Panics
 ///
@@ -344,8 +338,8 @@ fn enumerate_subsets(
 
 /// `pruneUncommon` (Algorithm 1, line 9): recount matches and satisfactions
 /// over the dataset and keep patterns that are both frequent and commonly
-/// satisfied. The recount — the dominant mining cost — is sharded across
-/// `config.threads` workers; per-shard counts are merged by addition, so the
+/// satisfied. The recount — the dominant mining cost — is split across
+/// `config.threads` workers; per-chunk counts are merged by addition, so the
 /// result is identical to a serial pass.
 fn prune_uncommon(
     mut candidates: Vec<NamePattern>,
@@ -358,12 +352,7 @@ fn prune_uncommon(
     // Cheap pre-filter on FP support to bound the recount.
     candidates.retain(|p| p.support >= config.min_support.max(1) / 2);
     let set = PatternSet::new(candidates);
-    let (matches, sats) = count_relations(
-        &set,
-        stmts,
-        resolve_threads(config.threads),
-        &config.shard_plan,
-    );
+    let (matches, sats) = count_relations(&set, stmts, resolve_threads(config.threads));
     let mut out: Vec<NamePattern> = set
         .patterns
         .into_iter()
@@ -387,17 +376,10 @@ fn prune_uncommon(
     out
 }
 
-/// Counts per-pattern matches and satisfactions over `stmts`, sharding the
-/// statements across `threads` workers and — when `plan` asks for it — each
-/// chunk across prefix-disjoint pattern shards. `u64` addition is
-/// commutative and the shards partition the pattern set, so the merged
-/// counts equal a serial pass at any (threads × shards) combination.
-fn count_relations(
-    set: &PatternSet,
-    stmts: &[PathSet],
-    threads: usize,
-    plan: &ShardPlan,
-) -> (Vec<u64>, Vec<u64>) {
+/// Counts per-pattern matches and satisfactions over `stmts`, splitting the
+/// statements across `threads` workers. `u64` addition is commutative, so
+/// the merged counts equal a serial pass at any thread count.
+fn count_relations(set: &PatternSet, stmts: &[PathSet], threads: usize) -> (Vec<u64>, Vec<u64>) {
     fn count_chunk(set: &PatternSet, chunk: &[PathSet]) -> (Vec<u64>, Vec<u64>) {
         let mut matches = vec![0u64; set.len()];
         let mut sats = vec![0u64; set.len()];
@@ -415,45 +397,15 @@ fn count_relations(
         (matches, sats)
     }
 
-    fn count_chunk_shard(
-        set: &PatternSet,
-        shards: &PatternShards,
-        shard: usize,
-        chunk: &[PathSet],
-    ) -> (Vec<u64>, Vec<u64>) {
-        let mut matches = vec![0u64; set.len()];
-        let mut sats = vec![0u64; set.len()];
-        let mut scratch = MatchScratch::for_set(set);
-        let mut hits: Vec<crate::shard::ShardHit> = Vec::new();
-        for s in chunk {
-            set.check_shard_into(shards, shard, s, &mut scratch, &mut hits);
-            for h in &hits {
-                matches[h.pattern_idx] += 1;
-                if h.relation == Relation::Satisfied {
-                    sats[h.pattern_idx] += 1;
-                }
-            }
-        }
-        (matches, sats)
-    }
-
     let threads = threads.min(stmts.len().max(1));
-    let shard_count = plan.effective(set.len());
-    if threads <= 1 && shard_count <= 1 {
+    if threads <= 1 {
         return count_chunk(set, stmts);
     }
-    let shards = (shard_count > 1).then(|| set.shard(plan));
     let chunk_size = stmts.len().div_ceil(threads).max(1);
     let parts: Vec<(Vec<u64>, Vec<u64>)> = std::thread::scope(|scope| {
-        let shards = shards.as_ref();
         let handles: Vec<_> = stmts
             .chunks(chunk_size)
-            .flat_map(|chunk| match shards {
-                Some(sh) => (0..sh.shard_count())
-                    .map(|s| scope.spawn(move || count_chunk_shard(set, sh, s, chunk)))
-                    .collect::<Vec<_>>(),
-                None => vec![scope.spawn(move || count_chunk(set, chunk))],
-            })
+            .map(|chunk| scope.spawn(move || count_chunk(set, chunk)))
             .collect();
         handles
             .into_iter()
@@ -480,11 +432,11 @@ pub struct PatternSet {
     /// The patterns, in the order given to [`PatternSet::new`].
     pub patterns: Vec<NamePattern>,
     /// Per-pattern condition paths as (interned prefix, required end).
-    pub(crate) cond_keys: Vec<Vec<(PrefixId, Option<Sym>)>>,
+    cond_keys: Vec<Vec<(PrefixId, Option<Sym>)>>,
     /// Per-pattern deduction prefixes, interned.
-    pub(crate) ded_keys: Vec<Vec<PrefixId>>,
+    ded_keys: Vec<Vec<PrefixId>>,
     /// First-deduction-prefix → ascending pattern indices.
-    pub(crate) index: HashMap<PrefixId, Vec<usize>>,
+    index: HashMap<PrefixId, Vec<usize>>,
 }
 
 impl PatternSet {
@@ -570,7 +522,7 @@ impl PatternSet {
     }
 
     /// O(|C| + |D|) match test over interned prefix keys.
-    pub(crate) fn quick_match(&self, i: usize, stmt: &PathSet) -> bool {
+    fn quick_match(&self, i: usize, stmt: &PathSet) -> bool {
         self.cond_keys[i]
             .iter()
             .all(|&(pid, want)| match (stmt.end_at_id(pid), want) {
@@ -605,7 +557,7 @@ impl MatchScratch {
         }
     }
 
-    pub(crate) fn begin(&mut self, len: usize) {
+    fn begin(&mut self, len: usize) {
         if self.stamps.len() < len {
             self.stamps.resize(len, 0);
         }
@@ -617,7 +569,7 @@ impl MatchScratch {
         }
     }
 
-    pub(crate) fn first_visit(&mut self, i: usize) -> bool {
+    fn first_visit(&mut self, i: usize) -> bool {
         if self.stamps[i] == self.generation {
             false
         } else {
@@ -831,36 +783,6 @@ mod tests {
                     mine_patterns(&stmts, ty, Some(&pairs), &serial),
                     mine_patterns(&stmts, ty, Some(&pairs), &parallel),
                     "{ty} mining differs at {threads} threads"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn mining_is_shard_plan_invariant() {
-        let stmts = corpus(&[
-            ("self.assertEqual(value, 90)\n", 40),
-            ("self.assertTrue(value, 90)\n", 2),
-            ("self.name = name\n", 20),
-            ("self.value = value\n", 20),
-        ]);
-        let mut pairs = ConfusingPairs::default();
-        pairs.insert(Sym::intern("True"), Sym::intern("Equal"));
-        let serial = small_config();
-        for (threads, shards) in [(1, 2), (1, 4), (2, 2), (3, 8)] {
-            let sharded = MiningConfig {
-                threads,
-                shard_plan: ShardPlan {
-                    shards,
-                    min_patterns: 0,
-                },
-                ..small_config()
-            };
-            for ty in [PatternType::ConfusingWord, PatternType::Consistency] {
-                assert_eq!(
-                    mine_patterns(&stmts, ty, Some(&pairs), &serial),
-                    mine_patterns(&stmts, ty, Some(&pairs), &sharded),
-                    "{ty} mining differs at {threads} threads x {shards} shards"
                 );
             }
         }

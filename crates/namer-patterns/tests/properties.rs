@@ -3,8 +3,8 @@
 use namer_base::prop;
 use namer_base::rng::SmallRng;
 use namer_patterns::{
-    mine_patterns, ConfusingPairs, FpTree, MiningConfig, PathSet, PatternSet, PatternType,
-    Relation, ShardPlan,
+    mine_patterns, ConfusingPairs, FpTree, MiningConfig, PathSet, PatternType,
+    Relation,
 };
 use namer_syntax::namepath::NamePath;
 use namer_syntax::{PrefixId, Sym};
@@ -179,62 +179,6 @@ fn path_set_lookups_match_linear_scan() {
             assert_eq!(set.end_at_id(p.prefix_id()), linear);
             // Every concrete path is found via its symbolic shape.
             assert!(set.contains_eq(&p.to_symbolic()));
-        }
-    });
-}
-
-#[test]
-fn shards_partition_patterns_prefix_disjoint_exactly_once() {
-    let strategy = |rng: &mut SmallRng| {
-        let groups = prop::vec(rng, 1..5, |r| (r.gen_range(0u8..8), r.gen_range(10u8..25)));
-        (groups, rng.gen_range(0usize..9))
-    };
-    prop::check(CASES, strategy, |(groups, shard_count)| {
-        // Each distinct tag yields its own deduction prefix, so mining over
-        // several tags produces several prefix groups to distribute.
-        let mut stmts: Vec<PathSet> = Vec::new();
-        for &(tag, n) in &groups {
-            for _ in 0..n {
-                stmts.push(PathSet::new(vec![np(tag, "self"), np(tag + 8, "Equal")]));
-            }
-        }
-        let config = MiningConfig {
-            min_path_count: 2,
-            min_support: 5,
-            min_satisfaction: 0.5,
-            ..MiningConfig::default()
-        };
-        let set = PatternSet::new(mine_patterns(
-            &stmts,
-            PatternType::Consistency,
-            None,
-            &config,
-        ));
-        let shards = set.shard(&ShardPlan {
-            shards: shard_count,
-            min_patterns: 0,
-        });
-
-        // Every pattern lands on exactly one shard.
-        assert_eq!(shards.assignment().len(), set.len());
-        let mut per_shard = vec![0usize; shards.shard_count()];
-        for &s in shards.assignment() {
-            per_shard[s as usize] += 1;
-        }
-        assert_eq!(per_shard.iter().sum::<usize>(), set.len());
-
-        // Prefix groups are atomic: patterns sharing a first-deduction
-        // prefix always share a shard.
-        let mut by_prefix: std::collections::HashMap<_, usize> = std::collections::HashMap::new();
-        for (i, p) in set.patterns.iter().enumerate() {
-            let pid = p.deduction[0].prefix_id();
-            let shard = shards.shard_of(i);
-            assert_eq!(*by_prefix.entry(pid).or_insert(shard), shard);
-        }
-
-        // And the partition is invisible to matching.
-        for stmt in &stmts {
-            assert_eq!(set.check_sharded(&shards, stmt), set.check(stmt));
         }
     });
 }

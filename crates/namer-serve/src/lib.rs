@@ -2,7 +2,7 @@
 //! Namer session API.
 //!
 //! The daemon keeps trained models, warm scan caches, and the
-//! configured thread/shard plan resident, and answers newline-delimited
+//! configured thread count resident, and answers newline-delimited
 //! JSON-RPC requests over stdio ([`serve_stdio`]) or TCP
 //! ([`serve_listener`]) — the bridge from "CLI run per invocation" to
 //! "service editor/CI clients hit at interactive latency".

@@ -344,9 +344,6 @@ pub struct Capabilities {
     /// `file.watch`/`file.unwatch` are accepted and the server pushes
     /// `file.findings` notifications for watched files.
     pub watch: bool,
-    /// Cache-backed analyzes splice statement-level regions instead of
-    /// rescanning whole files (DESIGN.md §14).
-    pub stmt_regions: bool,
     /// CLI names of the language frontends this server can analyze, in
     /// registry order (trailing so revision-1 clients parse unchanged).
     pub languages: Vec<&'static str>,
@@ -575,7 +572,7 @@ impl FromJson for UnwatchParams {
     }
 }
 
-namer_base::to_json_fields!(Capabilities { watch, stmt_regions, languages });
+namer_base::to_json_fields!(Capabilities { watch, languages });
 
 namer_base::to_json_fields!(InitializeResult {
     protocol,

@@ -61,7 +61,7 @@ use crate::proto::{
 };
 
 /// Server configuration. `detect` carries the detection knobs
-/// (threads, shard plan, mining/classifier config) shared by every
+/// (threads, mining/classifier config) shared by every
 /// resident session; the remaining fields are daemon policy.
 pub struct ServeConfig {
     /// Detection configuration applied to every session.
@@ -695,7 +695,6 @@ impl ServeState {
                     methods: METHODS.to_vec(),
                     capabilities: Capabilities {
                         watch: true,
-                        stmt_regions: true,
                         languages: namer_syntax::lang::all()
                             .iter()
                             .map(|l| l.cli_name())
@@ -793,10 +792,9 @@ struct Job {
 /// Concurrency model: each connection gets a reader thread and a
 /// writer thread; readers `try_send` into one bounded queue feeding a
 /// single executor thread that owns the [`ServeState`] (detection
-/// itself parallelizes inside the session across file threads ×
-/// pattern shards). A full queue rejects immediately with
-/// `server_busy` — bounded memory under overload. Responses for one
-/// connection always return in request order.
+/// itself parallelizes inside the session across file threads). A full
+/// queue rejects immediately with `server_busy` — bounded memory under
+/// overload. Responses for one connection always return in request order.
 pub fn serve_listener(config: ServeConfig, host: ModelHost, listener: TcpListener) -> io::Result<()> {
     let queue_capacity = config.queue_capacity.max(1);
     let aggregate = config.metrics.clone();
@@ -1014,8 +1012,7 @@ fn source_file(file: &AnalyzeFile, lang: namer_syntax::Lang) -> SourceFile {
 
 /// Merges the serve-level collector (request counter, `serve` and
 /// `model_load` spans) into the session outcome's snapshot by summing
-/// counters and phase stats. The serve collector never records shard
-/// data, so the shard fields keep the outcome's values.
+/// counters and phase stats.
 fn merge_serve_metrics(mut base: MetricsSnapshot, extra: MetricsSnapshot) -> MetricsSnapshot {
     for (name, value) in extra.counters {
         if value != 0 {

@@ -1,16 +1,14 @@
 #!/usr/bin/env bash
 # Full local gate: build, a no-external-crates gate, a vocabulary-literal
-# gate, every test (incl. the bench_incremental and
-# bench_shard smoke tests), clippy with warnings denied, a quick run of the
-# sharding benchmark (its exit code enforces the byte-identical guarantee),
-# a CLI metrics smoke (train + scan with --metrics-out, validating the JSON
+# gate, every test (incl. the bench_incremental smoke test), clippy with
+# warnings denied, a CLI metrics smoke (train + scan with --metrics-out, validating the JSON
 # key set of DESIGN.md §10), a format smoke (binary model reload + registry
 # scans must be byte-identical, DESIGN.md §12), a serve smoke (spawn the
 # JSON-RPC daemon, handshake, analyze, shutdown, DESIGN.md §13), a watch
-# smoke (touch one line under `namer watch`, expect a findings diff and
-# statement-region splicing, DESIGN.md §14), a quick incremental benchmark
-# (its exit code enforces both byte-identity and the statement-splicing
-# speedup over the file-granular baseline), and rustdoc with warnings
+# smoke (touch one line under `namer watch`, expect a findings diff and the
+# unchanged files served from the file cache, DESIGN.md §14), a quick
+# incremental benchmark (its exit code enforces both byte-identity and a
+# ≥5× 1-line-dirty speedup over a full re-scan), and rustdoc with warnings
 # denied (catches doc drift and broken intra-doc links). CI and pre-push
 # both run this.
 set -euo pipefail
@@ -52,9 +50,8 @@ cargo test -q -p namer-core binfmt
 cargo test -q -p namer-serve serve_
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
-cargo run --release -p namer-bench --bin bench_shard -- --quick --out /tmp/BENCH_shard_check.json
 # Exits non-zero if any phase diverges from its full-scan reference or the
-# 1-line-dirty region phase fails to beat the warm file-granular baseline.
+# 1-line-dirty phase is less than 5x faster than a full re-scan.
 cargo run --release -p namer-bench --bin bench_incremental -- --quick --out /tmp/BENCH_incremental_check.json
 
 # Metrics smoke: corpus -> train -> scan --metrics-out, then check the
@@ -76,7 +73,7 @@ if [ "$scan_rc" -gt 1 ]; then
     echo "check.sh: metrics smoke scan failed (exit $scan_rc)" >&2
     exit "$scan_rc"
 fi
-for key in schema_version counters phases shard_busy_nanos shard_imbalance \
+for key in schema_version counters phases \
            files_scanned statements_scanned pattern_matches cache_hits \
            cache_degraded_cold detect process scan assemble classify; do
     grep -q "\"$key\"" "$smoke/metrics.json" || {
@@ -214,8 +211,7 @@ result = analyze["result"]
 for key in ("findings", "summary", "diagnostics", "metrics"):
     assert key in result, f"analyze result missing {key!r}"
 metrics = result["metrics"]
-for key in ("schema_version", "counters", "phases",
-            "shard_busy_nanos", "shard_imbalance"):
+for key in ("schema_version", "counters", "phases"):
     assert key in metrics, f"MetricsSnapshot missing {key!r}"
 for counter in ("serve_requests", "files_scanned", "statements_scanned"):
     assert counter in metrics["counters"], f"counters missing {counter!r}"
@@ -228,9 +224,9 @@ echo "serve smoke: ok (handshake, analyze, shutdown; snapshot keys valid)"
 # Watch smoke (DESIGN.md §14): start `namer watch` over the salted corpus,
 # let it take its findings baseline, then touch one line — delete the line
 # behind an existing finding — and expect (a) a `- ` findings-diff line and
-# a clean bounded exit, and (b) statement-region splicing to have fired
-# (`stmt_cache_hits > 0` in the cumulative metrics): the edited file is
-# re-scanned fresh, but its unchanged statements splice from cached regions.
+# a clean bounded exit, and (b) the file cache to have served the unchanged
+# files (`cache_hits > 0` in the cumulative metrics): only the edited file is
+# re-scanned fresh.
 scan_rc=0
 target/release/namer scan --model "$smoke/model.json" \
     "$smoke/playground/repos" > "$smoke/watch-findings.txt" 2>/dev/null || scan_rc=$?
@@ -276,9 +272,9 @@ grep -q '^- ' "$smoke/watch-out.txt" || {
 python3 - "$smoke/watch-metrics.json" <<'PY' || exit 1
 import json, sys
 counters = json.load(open(sys.argv[1]))["counters"]
-assert counters["stmt_cache_hits"] > 0, f"no statement splicing: {counters}"
+assert counters["cache_hits"] > 0, f"no file-cache hits: {counters}"
 assert counters["watch_events"] >= 1, f"no watch event counted: {counters}"
 PY
-echo "watch smoke: ok (findings diff delivered, stmt_cache_hits > 0)"
+echo "watch smoke: ok (findings diff delivered, cache_hits > 0)"
 
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace

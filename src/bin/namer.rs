@@ -24,16 +24,16 @@
 //! instead of aborting the run, and every file the CLI writes lands via an
 //! atomic temp + rename, so a crash never leaves a truncated model, cache,
 //! or metrics file. Every command accepts the shared runtime options ([`RuntimeOpts`]):
-//! `--threads N` (file axis), `--pattern-shards N` (pattern axis, DESIGN.md
-//! §9), `--cache-dir DIR` (scan cache, DESIGN.md §8), `--metrics-out FILE`
-//! (per-phase timings + counters as JSON, DESIGN.md §10), and `--timings`
-//! (human-readable timing table on stderr). Output is byte-identical at any
-//! threads × shards combination.
+//! `--threads N` (file-chunk workers), `--cache-dir DIR` (scan cache,
+//! DESIGN.md §8), `--metrics-out FILE` (per-phase timings + counters as
+//! JSON, DESIGN.md §10), and `--timings` (human-readable timing table on
+//! stderr). Output is byte-identical at any thread count. `scan` and
+//! `watch` reject any `-`-prefixed argument they do not know.
 //!
-//! `watch` is the CLI face of statement-level incrementality (DESIGN.md
-//! §14): it re-reads the PATHs every `--interval-ms`, re-runs the resident
-//! session (with `--cache-dir` only dirty statements re-scan), and prints
-//! the findings diff against the previous poll as `+`/`-` lines.
+//! `watch` is the CLI face of incremental scanning (DESIGN.md §14): it
+//! re-reads the PATHs every `--interval-ms`, re-runs the resident session
+//! (with `--cache-dir` only changed files re-scan), and prints the
+//! findings diff against the previous poll as `+`/`-` lines.
 //! `--max-polls N` / `--max-changes N` bound the loop for scripting.
 //!
 //! `serve` keeps the model(s) and warm scan caches resident and answers
@@ -49,7 +49,7 @@ use namer::core::{
 };
 use namer::corpus::{CorpusConfig, Generator};
 use namer::observe::{Counter, MetricsSnapshot, Observer, Phase, PipelineMetrics};
-use namer::patterns::{MiningConfig, ShardPlan};
+use namer::patterns::MiningConfig;
 use namer::serve::{serve_listener, serve_stdio, ModelHost, ServeConfig};
 use namer::syntax::{Lang, SourceFile};
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -98,13 +98,12 @@ fn print_usage() {
          [--no-classifier] [--no-analysis] [-o MODEL] [runtime options]\n  namer scan  (--model FILE | --model-dir DIR [--model NAME])\n              [--model-budget MB] [--explain] [--format sarif] [--changed-only]\n              [runtime options] PATH...\n  namer watch (--model FILE | --model-dir DIR [--model NAME])\n              [--interval-ms N] [--max-polls N] [--max-changes N]\n              [runtime options] PATH...\n  namer serve (--model FILE | --model-dir DIR) [--listen ADDR] [--queue N]\n              [--model-budget MB] [--deterministic] [runtime options]\n\n\
          Runtime options (every command):\n  \
          --threads N         worker threads (0 = all cores, the default)\n  \
-         --pattern-shards N  prefix-disjoint pattern shards (1 = off; 0 = per core)\n  \
          --cache-dir DIR     per-file scan cache between runs (scan and serve)\n  \
          --metrics-out FILE  write per-phase timings + counters as JSON\n  \
          --timings           print a human-readable timing table to stderr\n\n\
-         Threads and shards are scheduling knobs only: output is\n\
-         byte-identical at any threads × shards combination, and so are the\n\
-         metrics counters (timings vary run to run). `--cache-dir DIR`\n\
+         Threads are a scheduling knob only: output is byte-identical at\n\
+         any thread count, and so are the metrics counters (timings vary\n\
+         run to run). `--cache-dir DIR`\n\
          caches per-file scan state between runs, so unchanged files are\n\
          not re-scanned; output stays byte-identical to a full scan.\n\
          `--changed-only` (requires --cache-dir) prints reports only for\n\
@@ -118,7 +117,7 @@ fn print_usage() {
          `watch` polls the PATHs every --interval-ms (default 500), re-runs\n\
          the resident session, and prints the findings diff against the\n\
          previous poll as `+`/`-` lines; the first poll is the baseline and\n\
-         counts no change. With --cache-dir only edited statements re-scan\n\
+         counts no change. With --cache-dir only edited files re-scan\n\
          (DESIGN.md §14). --max-polls N / --max-changes N stop the loop\n\
          after N polls / N change events (0 = unbounded, the default).\n\n\
          `serve` answers newline-delimited JSON-RPC 2.0 over stdio (default)\n\
@@ -145,15 +144,11 @@ fn has_flag(args: &[String], flag: &str) -> bool {
 }
 
 /// Runtime options shared by every subcommand, parsed once by
-/// [`RuntimeOpts::parse`] so `--threads` / `--pattern-shards` /
-/// `--cache-dir` / `--metrics-out` / `--timings` mean the same thing
-/// everywhere.
+/// [`RuntimeOpts::parse`] so `--threads` / `--cache-dir` /
+/// `--metrics-out` / `--timings` mean the same thing everywhere.
 struct RuntimeOpts {
     /// `--threads N` (0 = all available cores, the default).
     threads: usize,
-    /// `--pattern-shards N` (1 = unsharded, the default; 0 = one shard per
-    /// core).
-    shard_plan: ShardPlan,
     /// `--cache-dir DIR`: on-disk scan cache (used by `scan`; accepted and
     /// ignored elsewhere).
     cache_dir: Option<String>,
@@ -171,16 +166,8 @@ impl RuntimeOpts {
                 .map_err(|_| NamerError::Usage(format!("bad --threads {s:?}")))?,
             None => 0,
         };
-        let shard_plan = match flag_value(args, "--pattern-shards") {
-            Some(s) => s
-                .parse()
-                .map(ShardPlan::with_shards)
-                .map_err(|_| NamerError::Usage(format!("bad --pattern-shards {s:?}")))?,
-            None => ShardPlan::unsharded(),
-        };
         Ok(RuntimeOpts {
             threads,
-            shard_plan,
             cache_dir: flag_value(args, "--cache-dir").map(str::to_owned),
             metrics_out: flag_value(args, "--metrics-out").map(PathBuf::from),
             timings: has_flag(args, "--timings"),
@@ -189,7 +176,7 @@ impl RuntimeOpts {
 
     /// Applies the session-relevant options to a builder.
     fn apply(&self, builder: NamerBuilder) -> NamerBuilder {
-        let builder = builder.threads(self.threads).shard_plan(self.shard_plan);
+        let builder = builder.threads(self.threads);
         match &self.cache_dir {
             Some(dir) => builder.cache_dir(dir),
             None => builder,
@@ -260,7 +247,6 @@ fn cmd_demo(args: &[String]) -> Result<ExitCode, NamerError> {
     let out = flag_value(args, "-o").unwrap_or("namer-model.bin");
     let config = NamerConfig {
         threads: opts.threads,
-        shard_plan: opts.shard_plan,
         ..default_config()
     };
     println!("generating a synthetic Big Code corpus ({lang})…");
@@ -411,7 +397,6 @@ fn cmd_train(args: &[String]) -> Result<ExitCode, NamerError> {
     let opts = RuntimeOpts::parse(args)?;
     let mut config = default_config();
     config.threads = opts.threads;
-    config.shard_plan = opts.shard_plan;
     if has_flag(args, "--no-analysis") {
         config.process.use_analysis = false;
     }
@@ -500,16 +485,22 @@ fn resolve_scan_model(
     }
 }
 
-/// Non-flag positional PATH arguments, skipping the value of every
-/// value-taking flag `scan` and `watch` accept.
-fn positional_paths(args: &[String]) -> Vec<PathBuf> {
-    const VALUE_FLAGS: [&str; 12] = [
+/// The positional PATH arguments of `scan` and `watch`: every argument that
+/// is neither a flag those commands accept nor the value of a value-taking
+/// one.
+///
+/// # Errors
+///
+/// [`NamerError::Usage`] naming the first `-`-prefixed argument that is not
+/// a known flag, so a misspelled or retired option is never mistaken for a
+/// PATH (or silently dropped).
+fn positional_paths(args: &[String]) -> Result<Vec<PathBuf>, NamerError> {
+    const VALUE_FLAGS: [&str; 11] = [
         "--model",
         "--model-dir",
         "--model-budget",
         "--format",
         "--threads",
-        "--pattern-shards",
         "--cache-dir",
         "--metrics-out",
         "--lang",
@@ -517,26 +508,31 @@ fn positional_paths(args: &[String]) -> Vec<PathBuf> {
         "--max-polls",
         "--max-changes",
     ];
+    const SWITCHES: [&str; 3] = ["--explain", "--changed-only", "--timings"];
     let mut paths: Vec<PathBuf> = Vec::new();
-    let mut skip_next = false;
-    for a in args {
-        if skip_next {
-            skip_next = false;
-            continue;
+    let mut args = args.iter();
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            flag if VALUE_FLAGS.contains(&flag) => {
+                args.next();
+            }
+            flag if SWITCHES.contains(&flag) => {}
+            flag if flag.starts_with('-') => {
+                return Err(NamerError::Usage(format!(
+                    "unknown option `{flag}` (try `namer help`)"
+                )));
+            }
+            path => paths.push(PathBuf::from(path)),
         }
-        if VALUE_FLAGS.contains(&a.as_str()) {
-            skip_next = true;
-            continue;
-        }
-        if a.starts_with('-') {
-            continue;
-        }
-        paths.push(PathBuf::from(a));
     }
-    paths
+    Ok(paths)
 }
 
 fn cmd_scan(args: &[String]) -> Result<ExitCode, NamerError> {
+    let paths = positional_paths(args)?;
+    if paths.is_empty() {
+        return Err(NamerError::Usage("`scan` needs at least one PATH".to_owned()));
+    }
     // One collector spans model load, ingestion, and the session, so
     // --metrics-out reports the whole scan including Phase::ModelLoad.
     let collector = Arc::new(PipelineMetrics::new());
@@ -551,12 +547,6 @@ fn cmd_scan(args: &[String]) -> Result<ExitCode, NamerError> {
     // The fault-tolerant reader covers the whole ingestion pass; its
     // diagnostics are seeded into the session below.
     let mut reader = CorpusReader::new(&FS);
-
-    let paths = positional_paths(args);
-    if paths.is_empty() {
-        return Err(NamerError::Usage("`scan` needs at least one PATH".to_owned()));
-    }
-
     let mut files = Vec::new();
     for p in &paths {
         if p.is_dir() {
@@ -691,15 +681,19 @@ fn cmd_scan(args: &[String]) -> Result<ExitCode, NamerError> {
 
 /// `namer watch`: the poll-driven findings-diff loop over the scan
 /// PATHs. Each poll re-reads the sources and re-runs one resident
-/// session; with `--cache-dir` the statement-region cache (DESIGN.md
-/// §14) keeps warm polls proportional to the edit, not the corpus. The
+/// session; with `--cache-dir` the per-file scan cache (DESIGN.md §8)
+/// re-scans only the edited files (DESIGN.md §14). The
 /// first poll establishes the baseline silently; every later poll whose
 /// finding set differs prints the delta as `+`/`-` lines and counts one
 /// change event.
 fn cmd_watch(args: &[String]) -> Result<ExitCode, NamerError> {
+    let paths = positional_paths(args)?;
+    if paths.is_empty() {
+        return Err(NamerError::Usage("`watch` needs at least one PATH".to_owned()));
+    }
     // One collector spans the whole watch loop, so --metrics-out is
-    // cumulative across polls (that is what makes `stmt_cache_hits`
-    // observable to scripts).
+    // cumulative across polls (that is what makes `cache_hits` observable
+    // to scripts).
     let collector = Arc::new(PipelineMetrics::new());
     let model = {
         let _span = Observer::new(collector.as_ref()).phase(Phase::ModelLoad);
@@ -709,10 +703,6 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, NamerError> {
         ScanModel::File(m) => m.lang,
         ScanModel::Registry(m) => m.lang,
     };
-    let paths = positional_paths(args);
-    if paths.is_empty() {
-        return Err(NamerError::Usage("`watch` needs at least one PATH".to_owned()));
-    }
     let opts = RuntimeOpts::parse(args)?;
     let number = |flag: &str, default: u64| -> Result<u64, NamerError> {
         match flag_value(args, flag) {
@@ -860,7 +850,6 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, NamerError> {
     };
     let mut config = ServeConfig::new(NamerConfig {
         threads: opts.threads,
-        shard_plan: opts.shard_plan,
         ..default_config()
     });
     config.cache_root = opts.cache_dir.clone().map(PathBuf::from);

@@ -48,7 +48,7 @@
 //!     |v| oracle.label(&v.repo, &v.path, v.line, v.original.as_str(), v.suggested.as_str()).is_some(),
 //!     &NamerConfig::default(),
 //! );
-//! // Detect through a session: one API for full, cached, and sharded scans.
+//! // Detect through a session: one API for full and cached scans.
 //! let mut session = NamerBuilder::new().namer(namer).build()?;
 //! for report in session.run(&corpus.files)?.reports.iter().take(3) {
 //!     println!("{report}");

@@ -104,3 +104,34 @@ fn model_binary_is_reasonably_sized_and_versioned() {
     let again = SavedModel::from_bytes(&bytes).unwrap().to_binary();
     assert_eq!(bytes, again);
 }
+
+/// `namer scan` and `namer watch` reject an unknown `-`-prefixed argument
+/// with a usage error naming it (exit 2) instead of skipping it and taking
+/// its value as a PATH — here an empty `4/` directory that would otherwise
+/// be scanned silently. Covers the retired `--pattern-shards` option and a
+/// misspelled flag.
+#[test]
+fn scan_and_watch_reject_unknown_options() {
+    let dir = std::env::temp_dir().join(format!("namer-cli-options-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(dir.join("4")).unwrap();
+    std::fs::create_dir_all(dir.join("repos")).unwrap();
+    std::fs::write(dir.join("repos/a.py"), "x = 1\n").unwrap();
+    for command in ["scan", "watch"] {
+        for (flag, value) in [("--pattern-shards", "4"), ("--thraeds", "4")] {
+            let out = std::process::Command::new(env!("CARGO_BIN_EXE_namer"))
+                .current_dir(&dir)
+                .args([command, "--model", "m.bin", flag, value, "repos"])
+                .output()
+                .expect("namer runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{command} {flag}: {stderr}");
+            assert!(
+                stderr.contains(&format!("unknown option `{flag}`")),
+                "{command} {flag}: {stderr}"
+            );
+            assert!(out.stdout.is_empty(), "{command} {flag} scanned something");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -8,7 +8,7 @@ use namer::core::{
 };
 use namer::corpus::{CorpusConfig, Generator};
 use namer::observe::{Counter, PipelineMetrics};
-use namer::patterns::{MiningConfig, ShardPlan};
+use namer::patterns::MiningConfig;
 use namer::syntax::{Lang, SourceFile};
 
 fn config() -> NamerConfig {
@@ -92,11 +92,11 @@ fn mining_and_detection_are_thread_count_invariant() {
 
 #[test]
 fn incremental_scan_is_thread_and_dirty_window_invariant() {
-    // A warmed cache plus a dirty mix (edited, truncated, and brand-new
-    // files) must scan identically at any thread count × dirty-window
-    // setting (statement-region splicing vs file-granular, DESIGN.md §14)
-    // — and identically to a from-scratch full scan of the same mutated
-    // corpus.
+    // A dirty mix (edited, truncated, and brand-new files) must scan
+    // identically at any thread count × cache warmth — from an empty cache
+    // and from one warmed on the pristine corpus, so only the dirty window
+    // re-scans (DESIGN.md §8, §14) — and identically to a from-scratch
+    // full scan of the same mutated corpus.
     let corpus = Generator::new(CorpusConfig::small(Lang::Python)).generate(77);
     let commits: Vec<(String, String)> = corpus
         .commits
@@ -108,7 +108,7 @@ fn incremental_scan_is_thread_and_dirty_window_invariant() {
     let det = Detector::mine(&processed, &commits, Lang::Python, &config().mining);
 
     // Warm the cache on the pristine corpus at one thread.
-    let mut warmed = ScanCache::empty(det.fingerprint(&process_config, &ShardPlan::unsharded()));
+    let mut warmed = ScanCache::empty(det.fingerprint(&process_config));
     det.scan(ScanRequest::incremental(
         &corpus.files,
         &process_config,
@@ -130,19 +130,24 @@ fn incremental_scan_is_thread_and_dirty_window_invariant() {
         Lang::Python,
     ));
 
-    let run = |threads: usize, regions: bool| {
-        let mut cache = warmed.clone();
-        let mut req = ScanRequest::incremental(&mutated, &process_config, &mut cache)
-            .threads(threads);
-        if !regions {
-            req = req.file_granular();
-        }
-        let scan = det.scan(req);
+    let cold = ScanCache::empty(warmed.fingerprint());
+    let run = |threads: usize, start: &ScanCache| {
+        let mut cache = start.clone();
+        let metrics = PipelineMetrics::new();
+        let scan = det.scan(
+            ScanRequest::incremental(&mutated, &process_config, &mut cache)
+                .threads(threads)
+                .observer(metrics.observer()),
+        );
         let stats = scan.cache.unwrap();
-        (
+        let accounting = (
             stats.reused,
             stats.fresh,
             stats.parse_failures,
+            metrics.counter(Counter::CacheHits),
+            metrics.counter(Counter::CacheMisses),
+        );
+        let findings = (
             scan.raw_violation_count,
             scan.files_with_violation,
             scan.repos_with_violation,
@@ -150,50 +155,37 @@ fn incremental_scan_is_thread_and_dirty_window_invariant() {
                 .iter()
                 .map(|v| (v.to_string(), format!("{:?}", v.features)))
                 .collect::<Vec<_>>(),
-        )
+        );
+        (accounting, findings)
     };
-    let serial = run(1, true);
+    let (cold_accounting, serial) = run(1, &cold);
+    let (warm_accounting, _) = run(1, &warmed);
     for threads in [1, 2, 8] {
-        for regions in [true, false] {
+        for (start, accounting, warmth) in [
+            (&cold, cold_accounting, "cold"),
+            (&warmed, warm_accounting, "warm"),
+        ] {
             assert_eq!(
-                serial,
-                run(threads, regions),
-                "threads={threads} regions={regions} diverged"
+                (accounting, serial.clone()),
+                run(threads, start),
+                "threads={threads} {warmth} diverged"
             );
         }
     }
+    // Only the dirty window re-scans on a warm start.
+    assert_eq!(cold_accounting.0, 0, "a cold scan reuses nothing");
+    assert!(warm_accounting.0 > 0, "a warm scan reuses the clean files");
+    assert!(warm_accounting.1 < cold_accounting.1);
 
-    // The warm dirty scan equals a cold full scan of the mutated corpus.
+    // The dirty scan equals a cold full scan of the mutated corpus.
     let full = det.scan(ScanRequest::full(&process(&mutated, &process_config)));
     let full_key: Vec<(String, String)> = full
         .violations
         .iter()
         .map(|v| (v.to_string(), format!("{:?}", v.features)))
         .collect();
-    assert_eq!(serial.6, full_key);
-    assert_eq!(serial.3, full.raw_violation_count);
-
-    // The statement-cache counters are thread-invariant too, cold and
-    // warm: a hit is a region cached before the scan began (DESIGN.md §14).
-    let stmt_counters = |threads: usize, cache: &ScanCache| {
-        let mut cache = cache.clone();
-        let metrics = PipelineMetrics::new();
-        det.scan(
-            ScanRequest::incremental(&mutated, &process_config, &mut cache)
-                .threads(threads)
-                .observer(metrics.observer()),
-        );
-        (
-            metrics.counter(Counter::StmtCacheHits),
-            metrics.counter(Counter::StmtCacheMisses),
-        )
-    };
-    let cold = ScanCache::empty(warmed.fingerprint());
-    for cache in [&cold, &warmed] {
-        assert_eq!(stmt_counters(1, cache), stmt_counters(4, cache));
-    }
-    assert_eq!(stmt_counters(4, &cold).0, 0, "a cold scan has no statement hits");
-    assert!(stmt_counters(4, &warmed).0 > 0, "a warm scan splices regions");
+    assert_eq!(serial.3, full_key);
+    assert_eq!(serial.0, full.raw_violation_count);
 }
 
 #[test]
@@ -212,7 +204,7 @@ fn js_full_and_incremental_scans_agree_across_thread_counts() {
     let det = Detector::mine(&processed, &commits, Lang::Js, &config().mining);
 
     // Warm the cache on the pristine corpus.
-    let mut warmed = ScanCache::empty(det.fingerprint(&process_config, &ShardPlan::unsharded()));
+    let mut warmed = ScanCache::empty(det.fingerprint(&process_config));
     det.scan(ScanRequest::incremental(
         &corpus.files,
         &process_config,

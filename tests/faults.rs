@@ -340,75 +340,121 @@ fn poisoned_v1_cache(fingerprint: u64, digests: &[namer::syntax::ContentDigest])
     w.finish()
 }
 
-#[test]
-fn v1_cache_migrates_cold_never_wrong_at_every_kill_point() {
-    let dir = scratch("v1-migrate");
+/// A complete cache in the v2 layout — the statement-region format v3
+/// retired — whose entries record every digest as a parsed file with no
+/// statements (so honoring it would drop every finding), each linked to
+/// one populated statement region. v2 entry records are 56 bytes
+/// (digest, kind, padding, then offset/length pairs into the
+/// pattern-count, digest-count, raw-hit and span pools); sections 8–10
+/// hold the span keys, the region records and their per-pattern outcomes.
+fn poisoned_v2_cache(fingerprint: u64, digests: &[namer::syntax::ContentDigest]) -> Vec<u8> {
+    let mut meta = Vec::new();
+    meta.extend_from_slice(&2u32.to_le_bytes());
+    meta.extend_from_slice(&0u32.to_le_bytes());
+    meta.extend_from_slice(&fingerprint.to_le_bytes());
+    let mut sorted = digests.to_vec();
+    sorted.sort_unstable();
+    sorted.dedup();
+    let mut entries = Vec::new();
+    let mut spans = Vec::new();
+    for (i, d) in sorted.iter().enumerate() {
+        entries.extend_from_slice(&(d.0 as u64).to_le_bytes());
+        entries.extend_from_slice(&((d.0 >> 64) as u64).to_le_bytes());
+        entries.extend_from_slice(&1u32.to_le_bytes()); // kind 1 = Parsed
+        entries.extend_from_slice(&[0u8; 28]); // padding, empty count and raw-hit pools
+        entries.extend_from_slice(&(i as u32).to_le_bytes()); // span offset
+        entries.extend_from_slice(&1u32.to_le_bytes()); // span length
+        spans.extend_from_slice(&(i as u64 + 1).to_le_bytes());
+        spans.extend_from_slice(&0u64.to_le_bytes());
+    }
+    let mut regions = Vec::new();
+    let mut outcomes = Vec::new();
+    for i in 0..sorted.len() {
+        regions.extend_from_slice(&(i as u64 + 1).to_le_bytes());
+        regions.extend_from_slice(&0u64.to_le_bytes());
+        regions.extend_from_slice(&(i as u32).to_le_bytes()); // outcome offset
+        regions.extend_from_slice(&1u32.to_le_bytes()); // outcome length
+        outcomes.extend_from_slice(&0u64.to_le_bytes()); // pattern 0
+        outcomes.extend_from_slice(&[0u8; 8]); // no names
+        outcomes.extend_from_slice(&1u32.to_le_bytes()); // satisfied
+        outcomes.extend_from_slice(&0u32.to_le_bytes());
+    }
+    let mut w = BinWriter::new(binfmt::KIND_CACHE);
+    w.section(1, meta);
+    w.section(2, vec![0u8; 8]); // empty symbol table: count 0, blob end 0
+    w.section(3, entries);
+    for id in 4..=7 {
+        w.section(id, Vec::new());
+    }
+    w.section(8, spans);
+    w.section(9, regions);
+    w.section(10, outcomes);
+    w.finish()
+}
+
+/// The migration contract for a cache left by an older format version:
+/// `old_bytes` (carrying the current fingerprint and poisoned entries)
+/// load as a version-mismatch cold start, findings match a cacheless run,
+/// the resave rewrites the file in the current format, and a crash at any
+/// operation of that migration leaves the complete old bytes or the
+/// complete new bytes on disk — with unchanged findings either way.
+fn assert_migrates_cold_at_every_kill_point(
+    dir: &Path,
+    files: &[SourceFile],
+    expected: &[String],
+    old_bytes: &[u8],
+) {
     let cache_path = dir.join("scan-cache.json");
-    let files = corpus(0);
-    let expected = report_strings(&session(None).run(&files).unwrap().reports);
+    std::fs::remove_dir_all(dir).ok();
+    std::fs::create_dir_all(dir).unwrap();
+    atomic_write(&RealFs, &cache_path, old_bytes).unwrap();
 
-    // A v1-era cache: the file-granular format the statement-region format
-    // replaced (DESIGN.md §14). It carries the *current* fingerprint and a
-    // poisoned ParseFailure entry for every corpus file — state that would
-    // suppress every finding if a v2 session honored it. Only the version
-    // check stands between these bytes and wrong output.
-    let fp = session(Some(&dir)).namer().scan_fingerprint();
-    let digests: Vec<_> = files.iter().map(|f| content_digest(&f.text, f.lang)).collect();
-    let v1_bytes = poisoned_v1_cache(fp, &digests);
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    atomic_write(&RealFs, &cache_path, &v1_bytes).unwrap();
-
-    // The clean migration: the old cache is a version-mismatch cold start,
-    // the findings match a cacheless run, and the resave rewrites the file
-    // in the current format so the next session comes up warm.
-    let mut migrating = session(Some(&dir));
+    // The clean migration.
+    let mut migrating = session(Some(dir));
     assert_eq!(
         migrating.cache_status(),
         Some(CacheLoadStatus::VersionMismatch),
-        "v1 cache must be rejected by version, not loaded or errored"
+        "an old-format cache must be rejected by version, not loaded or errored"
     );
-    let outcome = migrating.run(&files).unwrap();
+    let outcome = migrating.run(files).unwrap();
     assert_eq!(report_strings(&outcome.reports), expected);
     let new_bytes = std::fs::read(&cache_path).unwrap();
-    assert_ne!(new_bytes, v1_bytes, "migration did not rewrite the cache");
-    let mut warm = session(Some(&dir));
+    assert_ne!(new_bytes, old_bytes, "migration did not rewrite the cache");
+    let mut warm = session(Some(dir));
     assert!(matches!(warm.cache_status(), Some(CacheLoadStatus::Warm(_))));
-    assert_eq!(report_strings(&warm.run(&files).unwrap().reports), expected);
+    assert_eq!(report_strings(&warm.run(files).unwrap().reports), expected);
 
     // The kill-point row: size the migration's VFS-operation matrix with a
-    // fault-free run, then crash at every operation. After each crash the
-    // disk holds the complete v1 bytes or the complete v2 bytes, and a
-    // restarted session reproduces the cacheless findings either way.
+    // fault-free run, then crash at every operation.
     let (bin, _) = model_bins();
-    atomic_write(&RealFs, &cache_path, &v1_bytes).unwrap();
+    atomic_write(&RealFs, &cache_path, old_bytes).unwrap();
     let probe = Arc::new(FaultVfs::real(FaultSchedule::new()));
     let mut sized = NamerBuilder::new()
         .model(SavedModel::from_bytes(bin).unwrap())
-        .cache_dir(&dir)
+        .cache_dir(dir)
         .vfs(probe.clone())
         .build()
         .unwrap();
-    sized.run(&files).unwrap();
+    sized.run(files).unwrap();
     let ops = probe.ops();
     assert_eq!(std::fs::read(&cache_path).unwrap(), new_bytes);
 
     for k in 0..ops {
-        atomic_write(&RealFs, &cache_path, &v1_bytes).unwrap();
+        atomic_write(&RealFs, &cache_path, old_bytes).unwrap();
         let vfs = Arc::new(FaultVfs::real(FaultSchedule::kill_at(k, Some(usize::MAX))));
         let result = NamerBuilder::new()
             .model(SavedModel::from_bytes(bin).unwrap())
-            .cache_dir(&dir)
+            .cache_dir(dir)
             .vfs(vfs)
             .build()
-            .and_then(|mut s| s.run(&files));
+            .and_then(|mut s| s.run(files));
         assert!(result.is_err(), "kill at op {k} must surface as an error");
         let bytes = std::fs::read(&cache_path).unwrap();
         assert!(
-            bytes == v1_bytes || bytes == new_bytes,
+            bytes == old_bytes || bytes == new_bytes,
             "op {k}: half-migrated cache on disk"
         );
-        let mut fresh = session(Some(&dir));
+        let mut fresh = session(Some(dir));
         assert!(
             matches!(
                 fresh.cache_status(),
@@ -418,12 +464,55 @@ fn v1_cache_migrates_cold_never_wrong_at_every_kill_point() {
             fresh.cache_status()
         );
         assert_eq!(
-            report_strings(&fresh.run(&files).unwrap().reports),
+            report_strings(&fresh.run(files).unwrap().reports),
             expected,
             "op {k}: migration crash changed findings"
         );
     }
-    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn v1_cache_migrates_cold_never_wrong_at_every_kill_point() {
+    // A v1-era cache: the file-granular layout before statement regions.
+    // It carries the *current* fingerprint and a poisoned ParseFailure
+    // entry for every corpus file; only the version check stands between
+    // these bytes and wrong output.
+    let dir = scratch("v1-migrate");
+    let files = corpus(0);
+    let expected = report_strings(&session(None).run(&files).unwrap().reports);
+    let fp = session(Some(&dir)).namer().scan_fingerprint();
+    let digests: Vec<_> = files
+        .iter()
+        .map(|f| content_digest(&f.text, f.lang))
+        .collect();
+    assert_migrates_cold_at_every_kill_point(
+        &dir,
+        &files,
+        &expected,
+        &poisoned_v1_cache(fp, &digests),
+    );
+}
+
+#[test]
+fn v2_cache_migrates_cold_never_wrong_at_every_kill_point() {
+    // A v2-era cache with statement regions, seeded under the current
+    // fingerprint with a poisoned entry for every corpus file: the v3
+    // reader must reject it by version, whatever its regions say.
+    let dir = scratch("v2-migrate");
+    let files = corpus(0);
+    let expected = report_strings(&session(None).run(&files).unwrap().reports);
+    let fp = session(Some(&dir)).namer().scan_fingerprint();
+    let digests: Vec<_> = files
+        .iter()
+        .map(|f| content_digest(&f.text, f.lang))
+        .collect();
+    assert_migrates_cold_at_every_kill_point(
+        &dir,
+        &files,
+        &expected,
+        &poisoned_v2_cache(fp, &digests),
+    );
 }
 
 #[test]

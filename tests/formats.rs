@@ -4,12 +4,12 @@
 //! The contract under test: *how* a model reached the session — handed
 //! over in memory, decoded from the binary container, or shared by a
 //! [`ModelRegistry`] — must not leave a trace in the findings. Every
-//! (source × file-threads × pattern-shards) grid point must produce
-//! byte-identical reports and scan statistics.
+//! (source × file-threads) grid point must produce byte-identical reports
+//! and scan statistics.
 
 use namer::core::{ModelRegistry, Namer, NamerBuilder, NamerConfig, SavedModel};
 use namer::corpus::{CorpusConfig, Generator};
-use namer::patterns::{MiningConfig, ShardPlan};
+use namer::patterns::MiningConfig;
 use namer::syntax::{Lang, SourceFile};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -70,7 +70,7 @@ enum Via<'a> {
     Registry,
 }
 
-fn scan_key(files: &[SourceFile], dir: &Path, via: &Via<'_>, threads: usize, shards: usize) -> String {
+fn scan_key(files: &[SourceFile], dir: &Path, via: &Via<'_>, threads: usize) -> String {
     let sourced = match via {
         Via::Memory(model) => NamerBuilder::new().model((*model).clone()),
         Via::Binary => NamerBuilder::new()
@@ -90,10 +90,6 @@ fn scan_key(files: &[SourceFile], dir: &Path, via: &Via<'_>, threads: usize, sha
     let mut session = sourced
         .config(config())
         .threads(threads)
-        .shard_plan(ShardPlan {
-            shards,
-            min_patterns: 0,
-        })
         .build()
         .expect("session builds");
     let outcome = session.run(files).expect("cacheless run");
@@ -113,17 +109,15 @@ fn scan_key(files: &[SourceFile], dir: &Path, via: &Via<'_>, threads: usize, sha
 #[test]
 fn findings_are_byte_identical_across_formats_and_the_grid() {
     let (files, dir, model) = trained_setup(2021);
-    let baseline = scan_key(&files, &dir, &Via::Memory(&model), 1, 1);
+    let baseline = scan_key(&files, &dir, &Via::Memory(&model), 1);
     assert!(!baseline.is_empty());
     for via in [Via::Memory(&model), Via::Binary, Via::Registry] {
         for threads in [1usize, 2, 8] {
-            for shards in [1usize, 4] {
-                assert_eq!(
-                    baseline,
-                    scan_key(&files, &dir, &via, threads, shards),
-                    "diverged at threads={threads} shards={shards}"
-                );
-            }
+            assert_eq!(
+                baseline,
+                scan_key(&files, &dir, &via, threads),
+                "diverged at threads={threads}"
+            );
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -138,8 +132,8 @@ fn js_model_round_trips_through_the_binary_container() {
     let loaded = SavedModel::load(&dir.join("trained.bin")).expect("binary model loads");
     assert_eq!(loaded.into_namer(config()).lang(), Lang::Js);
     assert_eq!(
-        scan_key(&files, &dir, &Via::Memory(&model), 1, 1),
-        scan_key(&files, &dir, &Via::Binary, 1, 1)
+        scan_key(&files, &dir, &Via::Memory(&model), 1),
+        scan_key(&files, &dir, &Via::Binary, 1)
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,8 +2,7 @@
 //! under any mix of file edits, additions, and deletions — and any mix of
 //! statement-level insertions, deletions, and replacements that shift the
 //! spans of everything below them — the cache-backed scan must produce
-//! byte-identical output to a full scan from scratch, in both
-//! statement-region and file-granular mode. Damaged or mismatched caches
+//! byte-identical output to a full scan from scratch. Damaged or mismatched caches
 //! must degrade to a cold (correct) scan, never a panic or a wrong answer.
 
 use namer::core::binfmt::{self, BinFile, BinWriter};
@@ -11,7 +10,7 @@ use namer::core::{
     process, CacheLoadStatus, Detector, DetectorSpec, ProcessConfig, ScanCache, ScanRequest,
     ScanResult, CACHE_FORMAT_VERSION,
 };
-use namer::patterns::{MiningConfig, ShardPlan};
+use namer::patterns::MiningConfig;
 use namer::syntax::{Lang, SourceFile};
 use namer_base::prop;
 use namer_base::rng::SmallRng;
@@ -83,10 +82,10 @@ fn mined() -> &'static (Detector, ProcessConfig) {
 
 /// The cache fingerprint of this harness's detector/config pairing.
 fn fp(det: &Detector, config: &ProcessConfig) -> u64 {
-    det.fingerprint(config, &ShardPlan::unsharded())
+    det.fingerprint(config)
 }
 
-/// A region-mode incremental scan (the §14 default) at `threads` workers.
+/// An incremental scan at `threads` workers.
 fn incremental(
     det: &Detector,
     files: &[SourceFile],
@@ -231,11 +230,9 @@ fn incremental_scan_matches_full_scan() {
     });
 }
 
-/// The §14 property: a statement-windowed (region-spliced) rescan of a
-/// corpus mutated by random statement insertions, deletions, and
-/// replacements — span-shifting edits included — matches the full cold
-/// scan bit for bit, at 1 and 2 threads, and agrees with the
-/// file-granular dirty-window setting.
+/// The §14 property: a warm rescan of a corpus mutated by random statement
+/// insertions, deletions, and replacements — span-shifting edits included
+/// — matches the full cold scan bit for bit, at 1 and 2 threads.
 #[test]
 fn statement_windowed_rescan_matches_full_scan() {
     let strategy = |rng: &mut SmallRng| {
@@ -252,7 +249,7 @@ fn statement_windowed_rescan_matches_full_scan() {
         let (det, config) = mined();
         let files = build_block_files(&base);
 
-        // Warm a region cache on the pristine corpus.
+        // Warm a cache on the pristine corpus.
         let mut cache = ScanCache::empty(fp(det, config));
         incremental(det, &files, config, &mut cache, 1);
 
@@ -282,18 +279,12 @@ fn statement_windowed_rescan_matches_full_scan() {
         let mutated = build_block_files(&lists);
         let reference = full_scan(det, config, &mutated);
 
-        // Region-spliced warm rescan ≡ full cold scan, thread-invariant.
+        // Warm rescan ≡ full cold scan, thread-invariant.
         for threads in [1usize, 2] {
             let mut warm = cache.clone();
             let scan = incremental(det, &mutated, config, &mut warm, threads);
             assert_eq!(key(&reference), key(&scan), "threads={}", threads);
         }
-        // And ≡ the file-granular dirty-window setting of the grid.
-        let mut warm = cache.clone();
-        let granular = det.scan(
-            ScanRequest::incremental(&mutated, config, &mut warm).file_granular(),
-        );
-        assert_eq!(key(&reference), key(&granular));
     });
 }
 

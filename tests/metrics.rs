@@ -1,15 +1,15 @@
 //! Integration: the pipeline observability layer (DESIGN.md §10).
 //!
 //! The contract under test: counter totals in [`DetectOutcome::metrics`] are
-//! a pure function of the model and the input files — worker threads,
-//! pattern shards, and cache warmth are scheduling knobs that must never
-//! change a total. Timings are explicitly exempt (they are wall clocks), so
+//! a pure function of the model and the input files — worker threads are
+//! a scheduling knob that must never change a total, and cache warmth
+//! changes only the cache and processing counters, never a scan total. Timings are explicitly exempt (they are wall clocks), so
 //! these tests only sanity-check them for presence.
 
 use namer::core::{Namer, NamerBuilder, NamerConfig, SavedModel};
 use namer::corpus::{CorpusConfig, Generator};
 use namer::observe::{Counter, MetricsSnapshot, Phase, PipelineMetrics, SCHEMA_VERSION};
-use namer::patterns::{MiningConfig, ShardPlan};
+use namer::patterns::MiningConfig;
 use namer::syntax::{Lang, SourceFile};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -51,17 +51,11 @@ fn trained_model(seed: u64) -> (Vec<SourceFile>, Vec<u8>) {
     (corpus.files, model_bytes)
 }
 
-fn builder(model_bytes: &[u8], threads: usize, shards: usize) -> NamerBuilder {
+fn builder(model_bytes: &[u8], threads: usize) -> NamerBuilder {
     NamerBuilder::new()
         .model(SavedModel::from_bytes(model_bytes).expect("model parses"))
         .config(config())
         .threads(threads)
-        // min_patterns: 0 so small mined sets still shard — the grid must
-        // exercise real partitions, not the size fallback.
-        .shard_plan(ShardPlan {
-            shards,
-            min_patterns: 0,
-        })
 }
 
 /// The scan-derived counters every warmth/threading mode must agree on.
@@ -85,12 +79,12 @@ fn scan_totals(snap: &MetricsSnapshot) -> BTreeMap<&'static str, u64> {
 #[test]
 fn counter_totals_are_invariant_across_the_thread_shard_grid() {
     let (files, model_bytes) = trained_model(2021);
-    let run = |threads: usize, shards: usize| {
-        let mut session = builder(&model_bytes, threads, shards).build().expect("builds");
+    let run = |threads: usize| {
+        let mut session = builder(&model_bytes, threads).build().expect("builds");
         session.run(&files).expect("cacheless run")
     };
 
-    let baseline = run(1, 1);
+    let baseline = run(1);
     let m = &baseline.metrics;
     // The totals cross-check against the outcome they describe.
     assert_eq!(m.counter(Counter::FilesProcessed), files.len() as u64);
@@ -120,14 +114,12 @@ fn counter_totals_are_invariant_across_the_thread_shard_grid() {
     assert_eq!(m.counter(Counter::PatternsMined), 0);
     assert_eq!(m.counter(Counter::CacheHits), 0);
 
-    for threads in [1usize, 2, 8] {
-        for shards in [1usize, 2, 4] {
-            let outcome = run(threads, shards);
-            assert_eq!(
-                baseline.metrics.counters, outcome.metrics.counters,
-                "counter totals diverged at threads={threads} shards={shards}"
-            );
-        }
+    for threads in [2usize, 8] {
+        let outcome = run(threads);
+        assert_eq!(
+            baseline.metrics.counters, outcome.metrics.counters,
+            "counter totals diverged at threads={threads}"
+        );
     }
 }
 
@@ -139,38 +131,33 @@ fn cached_runs_keep_scan_totals_and_account_hits() {
     let _ = std::fs::remove_dir_all(&base);
 
     let mut reference: Option<BTreeMap<&'static str, u64>> = None;
-    for threads in [1usize, 2] {
-        for shards in [1usize, 4] {
-            let dir = base.join(format!("t{threads}-s{shards}"));
-            let build = || {
-                builder(&model_bytes, threads, shards)
-                    .cache_dir(&dir)
-                    .build()
-                    .expect("builds")
-            };
+    for threads in [1usize, 2, 8] {
+        let dir = base.join(format!("t{threads}"));
+        let build = || {
+            builder(&model_bytes, threads)
+                .cache_dir(&dir)
+                .build()
+                .expect("builds")
+        };
 
-            let cold = build().run(&files).expect("cold run");
-            assert_eq!(cold.metrics.counter(Counter::CacheHits), 0);
-            assert_eq!(cold.metrics.counter(Counter::CacheMisses), n);
-            assert_eq!(cold.metrics.counter(Counter::CacheDegradedCold), 0);
+        let cold = build().run(&files).expect("cold run");
+        assert_eq!(cold.metrics.counter(Counter::CacheHits), 0);
+        assert_eq!(cold.metrics.counter(Counter::CacheMisses), n);
+        assert_eq!(cold.metrics.counter(Counter::CacheDegradedCold), 0);
 
-            let warm = build().run(&files).expect("warm run");
-            assert_eq!(warm.metrics.counter(Counter::CacheHits), n);
-            assert_eq!(warm.metrics.counter(Counter::CacheMisses), 0);
-            // Warm runs process nothing fresh...
-            assert_eq!(warm.metrics.counter(Counter::FilesProcessed), 0);
-            // ...yet assembly still derives full-corpus scan totals, equal
-            // to the cold run's and to every other grid point's.
-            assert_eq!(scan_totals(&cold.metrics), scan_totals(&warm.metrics));
-            let totals = scan_totals(&warm.metrics);
-            assert!(totals[Counter::StatementsScanned.name()] > 0);
-            match &reference {
-                None => reference = Some(totals),
-                Some(r) => assert_eq!(
-                    r, &totals,
-                    "cached totals diverged at threads={threads} shards={shards}"
-                ),
-            }
+        let warm = build().run(&files).expect("warm run");
+        assert_eq!(warm.metrics.counter(Counter::CacheHits), n);
+        assert_eq!(warm.metrics.counter(Counter::CacheMisses), 0);
+        // Warm runs process nothing fresh...
+        assert_eq!(warm.metrics.counter(Counter::FilesProcessed), 0);
+        // ...yet assembly still derives full-corpus scan totals, equal
+        // to the cold run's and to every other thread count's.
+        assert_eq!(scan_totals(&cold.metrics), scan_totals(&warm.metrics));
+        let totals = scan_totals(&warm.metrics);
+        assert!(totals[Counter::StatementsScanned.name()] > 0);
+        match &reference {
+            None => reference = Some(totals),
+            Some(r) => assert_eq!(r, &totals, "cached totals diverged at threads={threads}"),
         }
     }
     let _ = std::fs::remove_dir_all(&base);
@@ -179,7 +166,7 @@ fn cached_runs_keep_scan_totals_and_account_hits() {
 #[test]
 fn snapshot_json_round_trips_with_the_full_key_set() {
     let (files, model_bytes) = trained_model(2023);
-    let mut session = builder(&model_bytes, 2, 2).build().expect("builds");
+    let mut session = builder(&model_bytes, 2).build().expect("builds");
     let outcome = session.run(&files).expect("cacheless run");
     let snap = &outcome.metrics;
 
@@ -209,7 +196,7 @@ fn snapshot_json_round_trips_with_the_full_key_set() {
 fn builder_sink_receives_the_same_totals_as_the_outcome() {
     let (files, model_bytes) = trained_model(2024);
     let sink = Arc::new(PipelineMetrics::new());
-    let mut session = builder(&model_bytes, 2, 2)
+    let mut session = builder(&model_bytes, 2)
         .metrics(sink.clone())
         .build()
         .expect("builds");

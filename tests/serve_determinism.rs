@@ -1,32 +1,34 @@
 //! Concurrency-determinism suite for `namer serve`: the determinism
 //! grid of `tests/determinism.rs` (byte-identical output at any
-//! file-threads × pattern-shards setting) extended through the daemon.
+//! file-threads × cache-warmth setting) extended through the daemon.
 //!
 //! Three layers:
 //! * the same request transcript replayed at every grid setting yields
-//!   identical findings/summary/diagnostics/counters (and identical
-//!   full response bytes along the thread axis, where even the
-//!   scrubbed shard vector's length is fixed);
+//!   identical findings, and identical summary/diagnostics/counters at
+//!   every thread count of one warmth (and identical full response
+//!   bytes along the thread axis);
 //! * daemon findings equal a direct (CLI-path) `DetectSession` run at
 //!   the same setting;
 //! * N parallel TCP clients each receive responses byte-identical to a
 //!   serial single-connection transcript of the same requests.
 
 use namer::core::{Namer, NamerBuilder, NamerConfig, SavedModel, Violation};
-use namer::patterns::{MiningConfig, ShardPlan};
+use namer::patterns::MiningConfig;
 use namer::serve::{serve_listener, serve_transcript, ModelHost, ServeConfig};
 use namer::syntax::{Lang, SourceFile};
 use namer_base::json;
 use namer_base::json::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 const IDIOM: &str = "class T(TestCase):\n    def t(self):\n        self.assertEqual(v.count, 3)\n";
 const MISUSE: &str = "class T(TestCase):\n    def t(self):\n        self.assertTrue(v.count, 3)\n";
 
-fn detect_config(threads: usize, shards: usize) -> NamerConfig {
+fn detect_config(threads: usize) -> NamerConfig {
     NamerConfig {
         mining: MiningConfig {
             min_path_count: 2,
@@ -36,12 +38,6 @@ fn detect_config(threads: usize, shards: usize) -> NamerConfig {
         labeled_per_class: 3,
         cv_repeats: 2,
         threads,
-        // min_patterns: 0 so the small mined set still shards — the grid
-        // must exercise real partitions, not the size fallback.
-        shard_plan: ShardPlan {
-            shards,
-            min_patterns: 0,
-        },
         ..NamerConfig::default()
     }
 }
@@ -70,7 +66,7 @@ fn model_bin() -> &'static [u8] {
             &files,
             &commits,
             |v: &Violation| v.original.as_str() == "True",
-            &detect_config(1, 1),
+            &detect_config(1),
         );
         SavedModel::from_namer(&namer).to_binary()
     })
@@ -83,10 +79,21 @@ fn host() -> ModelHost {
     }
 }
 
-fn config(threads: usize, shards: usize) -> ServeConfig {
-    let mut config = ServeConfig::new(detect_config(threads, shards));
+fn config(threads: usize) -> ServeConfig {
+    let mut config = ServeConfig::new(detect_config(threads));
     config.scrub_timings = true;
     config
+}
+
+fn scratch(tag: &str) -> PathBuf {
+    static N: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "namer-serve-det-{tag}-{}-{}",
+        std::process::id(),
+        N.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    dir
 }
 
 /// The two analyze batches replayed everywhere. Distinct trailing
@@ -151,49 +158,64 @@ fn result_field(line: &str, field: &str) -> Value {
 
 #[test]
 fn serve_grid_findings_identical_at_every_threads_shards_setting() {
-    let baseline = serve_transcript(config(1, 1), host(), &transcript());
-    let base_lines: Vec<String> = baseline.lines().map(str::to_owned).collect();
-    assert_eq!(base_lines.len(), 4);
+    // The grid is file threads × cache warmth: cacheless, a cold cache
+    // root, and the same root warmed by the cold replay. Findings agree
+    // everywhere; summary (cache accounting included), diagnostics and
+    // counter totals agree at every thread count of one warmth
+    // (DESIGN.md §10's deterministic-sum invariant).
+    let baseline: Vec<String> = serve_transcript(config(1), host(), &transcript())
+        .lines()
+        .map(str::to_owned)
+        .collect();
+    assert_eq!(baseline.len(), 4);
+    let mut per_warmth: Vec<Option<Vec<String>>> = vec![None, None, None];
     for threads in [1, 2, 8] {
-        for shards in [1, 2, 5] {
-            let out = serve_transcript(config(threads, shards), host(), &transcript());
-            let lines: Vec<&str> = out.lines().collect();
-            assert_eq!(lines.len(), 4, "t={threads} s={shards}");
+        let root = scratch("grid");
+        for (w, warmth) in ["cacheless", "cold", "warm"].into_iter().enumerate() {
+            let mut cfg = config(threads);
+            if warmth != "cacheless" {
+                cfg.cache_root = Some(root.clone());
+            }
+            let out = serve_transcript(cfg, host(), &transcript());
+            let lines: Vec<String> = out.lines().map(str::to_owned).collect();
+            assert_eq!(lines.len(), 4, "t={threads} {warmth}");
+            let reference = per_warmth[w].get_or_insert_with(|| lines.clone());
             for idx in [2, 3] {
                 assert_eq!(
-                    findings_of(lines[idx]),
-                    findings_of(&base_lines[idx]),
-                    "findings diverged at t={threads} s={shards} response {idx}"
+                    findings_of(&lines[idx]),
+                    findings_of(&baseline[idx]),
+                    "findings diverged at t={threads} {warmth} response {idx}"
                 );
                 for field in ["summary", "diagnostics"] {
                     assert_eq!(
-                        result_field(lines[idx], field),
-                        result_field(&base_lines[idx], field),
-                        "{field} diverged at t={threads} s={shards}"
+                        result_field(&lines[idx], field),
+                        result_field(&reference[idx], field),
+                        "{field} diverged at t={threads} {warmth}"
                     );
                 }
-                // Counter totals obey the deterministic-sum invariant
-                // (DESIGN.md §10) through the daemon too.
                 assert_eq!(
-                    result_field(lines[idx], "metrics")["counters"],
-                    result_field(&base_lines[idx], "metrics")["counters"],
-                    "counters diverged at t={threads} s={shards}"
+                    result_field(&lines[idx], "metrics")["counters"],
+                    result_field(&reference[idx], "metrics")["counters"],
+                    "counters diverged at t={threads} {warmth}"
                 );
             }
         }
+        std::fs::remove_dir_all(&root).ok();
     }
+    // The warm replay really was warm: its first analyze hit the cache.
+    let warm = per_warmth[2].as_ref().expect("warm replay ran");
+    let hits = &result_field(&warm[2], "metrics")["counters"]["cache_hits"];
+    assert!(hits.as_u64().is_some_and(|n| n > 0), "warm replay missed: {hits}");
 }
 
 #[test]
 fn serve_thread_axis_is_byte_identical() {
-    // At a fixed shard plan even the full scrubbed responses — shard
-    // vector length included — cannot depend on the file-thread count.
-    for shards in [1, 2, 5] {
-        let baseline = serve_transcript(config(1, shards), host(), &transcript());
-        for threads in [2, 8] {
-            let out = serve_transcript(config(threads, shards), host(), &transcript());
-            assert_eq!(out, baseline, "bytes diverged at t={threads} s={shards}");
-        }
+    // Even the full scrubbed responses cannot depend on the file-thread
+    // count.
+    let baseline = serve_transcript(config(1), host(), &transcript());
+    for threads in [2, 8] {
+        let out = serve_transcript(config(threads), host(), &transcript());
+        assert_eq!(out, baseline, "bytes diverged at t={threads}");
     }
 }
 
@@ -201,14 +223,14 @@ fn serve_thread_axis_is_byte_identical() {
 fn serve_findings_match_direct_session_at_every_setting() {
     // The daemon's detection path is the CLI's detection path: compare
     // wire findings against a direct DetectSession run per grid point.
-    for (threads, shards) in [(1, 1), (2, 2), (8, 5)] {
+    for threads in [1, 2, 8] {
         let files: Vec<SourceFile> = batch(0)
             .into_iter()
             .map(|(path, content)| SourceFile::new("client", path, content, Lang::Python))
             .collect();
         let mut session = NamerBuilder::new()
             .model(SavedModel::from_bytes(model_bin()).unwrap())
-            .config(detect_config(threads, shards))
+            .config(detect_config(threads))
             .build()
             .expect("session builds");
         let outcome = session.run(&files).expect("cacheless run cannot fail");
@@ -229,7 +251,7 @@ fn serve_findings_match_direct_session_at_every_setting() {
             .collect();
 
         let input = [init_line(1), analyze_line(2, 0)].join("\n");
-        let out = serve_transcript(config(threads, shards), host(), &input);
+        let out = serve_transcript(config(threads), host(), &input);
         let line = out.lines().nth(1).expect("analyze response");
         let v = Value::parse(line).unwrap();
         let served: Vec<(String, String, u32, String, String, u64)> = v["result"]["findings"]
@@ -247,7 +269,7 @@ fn serve_findings_match_direct_session_at_every_setting() {
                 )
             })
             .collect();
-        assert_eq!(served, direct, "daemon != direct session at t={threads} s={shards}");
+        assert_eq!(served, direct, "daemon != direct session at t={threads}");
     }
 }
 
@@ -285,7 +307,7 @@ impl Client {
 fn serve_parallel_tcp_clients_match_serial_transcript() {
     // Serial single-connection expectation for the exact request
     // sequence each TCP client will send (after a model pre-warm).
-    let expected: Vec<String> = serve_transcript(config(2, 2), host(), &transcript())
+    let expected: Vec<String> = serve_transcript(config(2), host(), &transcript())
         .lines()
         .map(str::to_owned)
         .collect();
@@ -293,7 +315,7 @@ fn serve_parallel_tcp_clients_match_serial_transcript() {
 
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().unwrap();
-    let mut cfg = config(2, 2);
+    let mut cfg = config(2);
     cfg.queue_capacity = 32;
     let server = std::thread::spawn(move || serve_listener(cfg, host(), listener));
 

@@ -30,7 +30,7 @@ const INIT_OK: &str = "{\"jsonrpc\":\"2.0\",\"id\":1,\"result\":{\"protocol\":1,
     \"server\":\"namer-serve\",\"version\":\"0.1.0\",\"models\":[\"m\"],\
     \"methods\":[\"initialize\",\"ping\",\"shutdown\",\"file.analyze\",\
     \"model.load\",\"cache.flush\",\"file.watch\",\"file.unwatch\"],\
-    \"capabilities\":{\"watch\":true,\"stmt_regions\":true,\
+    \"capabilities\":{\"watch\":true,\
     \"languages\":[\"python\",\"java\",\"javascript\"]}}}";
 
 fn init_line(id: u64) -> String {
@@ -398,7 +398,9 @@ fn serve_old_clients_ignore_new_initialize_fields() {
     let resp = Value::parse(out.lines().next().expect("one response"))
         .expect("initialize response is JSON");
     assert_eq!(resp["result"]["capabilities"]["watch"], json!(true));
-    assert_eq!(resp["result"]["capabilities"]["stmt_regions"], json!(true));
+    // A capability the server no longer has is absent, which a client
+    // reads as "not supported".
+    assert!(resp["result"]["capabilities"].get("stmt_regions").is_none());
     assert_eq!(
         resp["result"]["capabilities"]["languages"],
         json!(["python", "java", "javascript"])

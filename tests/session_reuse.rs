@@ -10,7 +10,7 @@
 
 use namer::core::{
     CacheLoadStatus, CorpusReader, DetectSession, Fault, FaultSchedule, FaultVfs, Namer,
-    NamerBuilder, NamerConfig, Report, SavedModel, Violation,
+    NamerBuilder, NamerConfig, NamerError, Report, SavedModel, Violation,
 };
 use namer::observe::Counter;
 use namer::patterns::MiningConfig;
@@ -248,4 +248,81 @@ fn session_deferred_flush_lifecycle() {
         report_strings(&fourth.reports)
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn cached_session_round_trips_and_tracks_changed_files() {
+    let mut files = corpus();
+    let dir = scratch("round-trip");
+    let build = || {
+        builder()
+            .cache_dir(&dir)
+            .build()
+            .expect("saved source builds")
+    };
+
+    // Cold run: nothing cached, every file is "changed".
+    let mut cold = build();
+    assert_eq!(cold.cache_status(), Some(CacheLoadStatus::Cold));
+    let cold_out = cold.run(&files).expect("cold run");
+    let cold_cache = cold_out.cache.as_ref().expect("cache accounting");
+    assert_eq!(cold_cache.fresh, files.len());
+    assert_eq!(cold_cache.changed.len(), files.len());
+
+    // Warm run over identical inputs: all reused, nothing changed, and the
+    // reports are byte-identical to the cold scan.
+    let mut warm = build();
+    assert!(matches!(
+        warm.cache_status(),
+        Some(CacheLoadStatus::Warm(_))
+    ));
+    let warm_out = warm.run(&files).expect("warm run");
+    let warm_cache = warm_out.cache.as_ref().expect("cache accounting");
+    assert_eq!(warm_cache.fresh, 0);
+    assert!(warm_cache.changed.is_empty());
+    assert!(!warm_out.reports.is_empty());
+    assert_eq!(
+        report_strings(&cold_out.reports),
+        report_strings(&warm_out.reports)
+    );
+
+    // Edit one file: exactly that file re-scans and shows up as changed.
+    files[0].text.push_str("\nzz_extra = 1\n");
+    let mut dirty = build();
+    let dirty_out = dirty.run(&files).expect("dirty run");
+    let dirty_cache = dirty_out.cache.as_ref().expect("cache accounting");
+    assert_eq!(
+        dirty_cache.changed,
+        vec![(files[0].repo.clone(), files[0].path.clone())]
+    );
+    assert_eq!(dirty_cache.fresh, 1);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn builder_rejects_invalid_configurations() {
+    // No source at all.
+    assert!(matches!(
+        NamerBuilder::new().build(),
+        Err(NamerError::InvalidConfig(_))
+    ));
+
+    // A trained system carries its own config; overriding it is an error.
+    let namer = SavedModel::from_bytes(model_bin())
+        .expect("model parses")
+        .into_namer(NamerConfig::default());
+    assert!(matches!(
+        NamerBuilder::new()
+            .namer(namer)
+            .config(NamerConfig::default())
+            .build(),
+        Err(NamerError::InvalidConfig(_))
+    ));
+
+    // Language conflicts with the saved model's.
+    assert!(matches!(
+        builder().lang(Lang::Java).build(),
+        Err(NamerError::InvalidConfig(_))
+    ));
 }
